@@ -243,7 +243,7 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))  # builtin float: numpy 2 scalars upcast f
 def gelu(a: Tensor) -> Tensor:
     # tanh form: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))  # x**3 goes through pow(), far slower
     t = np.tanh(inner)
 
     def rule(g):
@@ -265,9 +265,10 @@ def tanh(a: Tensor) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, max-subtracted for stability."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    # one (..., T) array, exponentiated and normalised in place
+    y = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def rule(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -298,6 +299,9 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
     return _result(gamma.data * xhat + beta.data, (a, gamma, beta), rule)
 
 
+_DROPOUT_SLICE = 1 << 17  # uniforms drawn per slice of a dropout mask
+
+
 def dropout(a: Tensor, p: float, seed: int, training: bool) -> Tensor:
     """Inverted dropout; a fixed seed gives a fixed mask."""
     if not 0.0 <= p < 1.0:
@@ -305,7 +309,14 @@ def dropout(a: Tensor, p: float, seed: int, training: bool) -> Tensor:
     if not training or p == 0.0:
         return a
     rng = np.random.default_rng([seed])
-    keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype) / (1.0 - p)
+    keep = np.empty(a.data.shape, a.data.dtype)
+    flat = keep.reshape(-1)
+    # drawn a slice at a time: the same stream as one rng.random(shape),
+    # without a float64 array of the full shape on every call
+    for start in range(0, flat.size, _DROPOUT_SLICE):
+        part = flat[start : start + _DROPOUT_SLICE]
+        np.greater_equal(rng.random(part.size), p, out=part)
+    keep /= 1.0 - p
 
     def rule(g):
         _accumulate(a, g * keep)
@@ -316,13 +327,15 @@ def dropout(a: Tensor, p: float, seed: int, training: bool) -> Tensor:
 # --- lookups -----------------------------------------------------------------
 
 def embed(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row gather; gradients scatter-add back into the table."""
+    """Row gather; gradients sum back into the table rows as a one-hot
+    (rows, N) matrix times the (N, D) output gradient."""
     ids = np.asarray(ids)
 
     def rule(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-        _accumulate(table, gt)
+        flat = ids.reshape(-1)
+        one_hot = np.zeros((table.data.shape[0], flat.size), table.data.dtype)
+        one_hot[flat, np.arange(flat.size)] = 1.0
+        _accumulate(table, np.matmul(one_hot, g.reshape(flat.size, table.data.shape[-1])))
 
     return _result(table.data[ids], (table,), rule)
 
@@ -362,6 +375,15 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> T
 
 # --- attention helper ----------------------------------------------------------
 
+def _skew(band: np.ndarray, steps: int, offset: int) -> np.ndarray:
+    """(..., T, T) view of a C-contiguous (..., T, L) band with
+    view[..., i, j] = band[..., i, j - i + offset]; writes go through."""
+    strides = band.strides[:-2] + (band.strides[-2] - band.strides[-1], band.strides[-1])
+    return np.lib.stride_tricks.as_strided(
+        band.reshape(-1)[offset:], shape=band.shape[:-1] + (steps,), strides=strides
+    )
+
+
 def attention_scores(
     q: Tensor,
     k: Tensor,
@@ -372,38 +394,80 @@ def attention_scores(
 ) -> Tensor:
     """(q·k + q·r_{j-i}) * scaling + key_bias, in one op.
 
-    q, k are (B, H, T, D); rel_table is (2c+1, D) gathered by rel_index
-    (T, T); key_bias broadcasts over (B, H, T, T) and takes no gradient.
+    q, k are (B, H, T, D); rel_table is (2c+1, D), one row per clipped
+    distance clip(j - i, -c, c); rel_index (T, T) must be exactly those
+    distances plus c (anything else is a ValueError); key_bias broadcasts
+    over (B, H, T, T) and takes no gradient.
+
+    The relative term is never gathered into a (T, T, D) tensor. Following
+    the skewing trick of Music Transformer (Huang et al. 2018,
+    arXiv:1809.04281), QR = q·rel_tableᵀ is computed once as
+    (B, H, T, 2c+1), and each row is padded by repeating its first and last
+    columns to the 2T-1 distances a row can see (no padding when T-1 <= c),
+    so that q·r_{j-i} = band[i, j - i + T-1] is a strided view added in
+    place into the content scores. Backward writes the gradient through the
+    same view into a zeroed band, folds the padded tails back into columns
+    0 and 2c, and gets the table gradient as one matmul gQRᵀ·q. The padded
+    band is one (T, 2T-1) buffer filled head by head, so the op allocates
+    nothing larger than its (B, H, T, T) scores. There is no
+    scatter: the table's share of the matmuls is O(B·H·T·(2c+1)·D), and the
+    band is elementwise work of the same order as the content scores.
     """
-    rel = rel_table.data[rel_index]  # (T, T, D)
-    b_, h_, t_, d_ = q.data.shape
-    # all contractions below are laid out as batched matmuls so they hit BLAS
-    q_by_step = np.ascontiguousarray(q.data.transpose(2, 0, 1, 3)).reshape(t_, b_ * h_, d_)
-    content = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    relative = (
-        np.matmul(q_by_step, rel.transpose(0, 2, 1))  # (T, BH, T)
-        .reshape(t_, b_, h_, t_)
-        .transpose(1, 2, 0, 3)
-    )
-    out_data = (content + relative) * scaling + key_bias
+    d_ = q.data.shape[-1]
+    t_ = q.data.shape[-2]
+    width = rel_table.data.shape[0]
+    clip = (width - 1) // 2
+    if rel_table.data.shape != (2 * clip + 1, d_):
+        raise ValueError(f"rel_table must be (2c+1, {d_}), got {rel_table.data.shape}")
+    distances = np.clip(np.arange(1 - t_, t_), -clip, clip) + clip
+    expected = np.lib.stride_tricks.sliding_window_view(distances, t_)[::-1]  # (T, T) view
+    if not np.array_equal(rel_index, expected):
+        raise ValueError(f"rel_index must be clip(j - i, -{clip}, {clip}) + {clip} over {t_} steps")
+    scaling = float(scaling)  # a numpy float64 scalar would upcast float32 arrays
+    pad = max(t_ - 1 - clip, 0)  # columns each tail repeats
+    offset = clip + pad  # band column of distance 0
+
+    qr = np.matmul(q.data, rel_table.data.T)  # (B, H, T, 2c+1)
+    out_data = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    if pad:
+        # one (T, 2T-1) band reused head by head: a full (B, H, T, 2T-1) band
+        # would be twice the scores, in fresh pages on every call
+        band = np.empty((t_, width + 2 * pad), qr.dtype)
+        for scores, qr_head in zip(out_data.reshape(-1, t_, t_), qr.reshape(-1, t_, width)):
+            band[:, :pad] = qr_head[:, :1]
+            band[:, pad : pad + width] = qr_head
+            band[:, pad + width :] = qr_head[:, -1:]
+            scores += _skew(band, t_, offset)
+    else:
+        out_data += _skew(qr, t_, offset)
+    out_data *= scaling
+    out_data += key_bias
 
     def rule(g):
-        gs = g * scaling
-        gs_by_step = np.ascontiguousarray(gs.transpose(2, 0, 1, 3)).reshape(t_, b_ * h_, t_)
+        # scaling multiplies the (..., T, D) and (2c+1, D) results, not g
+        if q.requires_grad or rel_table.requires_grad:
+            if pad:
+                # head by head through one zeroed band: the skew writes the
+                # same cells for every head, so the rest stays zero
+                gband = np.zeros((t_, width + 2 * pad), g.dtype)
+                gqr = np.empty(g.shape[:-1] + (width,), g.dtype)
+                ones = np.ones(pad, g.dtype)
+                for g_head, gqr_head in zip(g.reshape(-1, t_, t_), gqr.reshape(-1, t_, width)):
+                    _skew(gband, t_, offset)[...] = g_head
+                    gqr_head[...] = gband[:, pad : pad + width]
+                    # row sums as matrix-vector products: BLAS beats .sum here
+                    gqr_head[:, 0] += np.matmul(gband[:, :pad], ones)
+                    gqr_head[:, -1] += np.matmul(gband[:, pad + width :], ones)
+            else:
+                gqr = np.zeros(g.shape[:-1] + (width,), g.dtype)
+                _skew(gqr, t_, offset)[...] = g
         if q.requires_grad:
-            gq_rel = (
-                np.matmul(gs_by_step, rel)  # (T, BH, D)
-                .reshape(t_, b_, h_, d_)
-                .transpose(1, 2, 0, 3)
-            )
-            _accumulate(q, np.matmul(gs, k.data) + gq_rel)
+            _accumulate(q, (np.matmul(g, k.data) + np.matmul(gqr, rel_table.data)) * scaling)
         if k.requires_grad:
-            _accumulate(k, np.matmul(np.swapaxes(gs, -1, -2), q.data))
+            _accumulate(k, np.matmul(np.swapaxes(g, -1, -2), q.data) * scaling)
         if rel_table.requires_grad:
-            g_rel = np.matmul(gs_by_step.transpose(0, 2, 1), q_by_step)  # (T, T, D)
-            gt = np.zeros_like(rel_table.data)
-            np.add.at(gt, rel_index.reshape(-1), g_rel.reshape(-1, d_))
-            _accumulate(rel_table, gt)
+            g_rel = np.matmul(gqr.reshape(-1, width).T, q.data.reshape(-1, d_))
+            _accumulate(rel_table, g_rel * scaling)
 
     return _result(out_data, (q, k, rel_table), rule)
 

@@ -9,6 +9,7 @@ reproduced bit for bit. Exit codes: 0 success, 1 usage, 2 bad data,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import os
 import sys
@@ -657,7 +658,31 @@ _COMMANDS = {
 }
 
 
+_M_TRIM_THRESHOLD = -1  # mallopt parameter numbers from glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
+
+
+def _pin_allocator() -> None:
+    """Fix glibc malloc's mmap and trim thresholds; a no-op elsewhere.
+
+    glibc raises both thresholds to the largest block freed so far, so
+    whether the next (B, H, T, T) array is a reused heap block or freshly
+    zeroed pages depends on what the process allocated before, and a run
+    settles into a fast or a slow mode. With fixed values, blocks up to
+    32 MiB come from the heap and freed memory stays for reuse.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _pin_allocator()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -422,7 +422,10 @@ def _read_tensors(fh, header, path):
         raw = fh.read(count * dtype.itemsize)
         if len(raw) < count * dtype.itemsize:
             raise CheckpointError(f"{path}: truncated payload at tensor {entry['name']!r}")
-        out[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        # native byte order: an explicit "<" dtype survives arithmetic and
+        # sends numpy's inner loops off their fast paths
+        native = dtype.newbyteorder("=")
+        out[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(native)
     if fh.read(1):
         raise CheckpointError(f"{path}: trailing data after last tensor")
     return out

@@ -1,7 +1,10 @@
 """Autodiff tests. Central finite differences are the oracle throughout;
-everything here runs in double precision."""
+everything here runs in double precision unless a test builds float32
+tensors itself."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +150,16 @@ class TestDropout:
         with pytest.raises(ValueError):
             ad.dropout(tensor(np.ones(3)), 1.0, seed=0, training=True)
 
+    def test_mask_is_one_draw_of_the_whole_shape(self):
+        # larger than one slice of uniforms, in float32 and float64
+        for dtype in (np.float32, np.float64):
+            x = Tensor(np.ones((3, 301, 307), dtype))
+            uniforms = np.random.default_rng([5]).random(x.data.shape)
+            want = (uniforms >= 0.1).astype(dtype) / (1.0 - 0.1)
+            got = ad.dropout(x, 0.1, seed=5, training=True).data
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+
 
 class TestEmbedAndLosses:
     def test_embed_scatter_accumulates_duplicates(self):
@@ -242,6 +255,122 @@ class TestAttentionScores:
         probs = ad.softmax(ad.attention_scores(q, k, rel, distance, bias, 1.0)).data
         assert (probs[..., 3:] == 0.0).all()
         assert np.allclose(probs.sum(axis=-1), 1.0)
+
+
+def clipped_distance(t, clip):
+    return np.clip(np.arange(t)[None, :] - np.arange(t)[:, None], -clip, clip) + clip
+
+
+def gathered_scores(q, k, rel, index, bias, scaling, g):
+    """Reference relative attention: gather rel[index] as (T, T, D) and
+    scatter its gradient back row by row with np.add.at."""
+    gathered = rel[index]
+    out = (q @ k.swapaxes(-1, -2) + np.einsum("bhid,ijd->bhij", q, gathered)) * scaling + bias
+    gs = g * scaling
+    gq = gs @ k + np.einsum("bhij,ijd->bhid", gs, gathered)
+    gk = gs.swapaxes(-1, -2) @ q
+    g_rel = np.zeros_like(rel)
+    per_pair = np.einsum("bhij,bhid->ijd", gs, q)
+    np.add.at(g_rel, index.reshape(-1), per_pair.reshape(-1, rel.shape[1]))
+    return out, gq, gk, g_rel
+
+
+class TestRelativeBand:
+    """attention_scores reads the relative term through a skewed band; a
+    plain gather-and-scatter is the reference."""
+
+    @pytest.mark.parametrize("t", [1, 3, 4, 5, 9])  # 1, c, c+1, c+2, 3c at c = 3
+    def test_matches_gather_reference(self, t):
+        rng = np.random.default_rng(40 + t)
+        b, h, d, clip = 2, 3, 4, 3
+        q, k, rel = params(rng, (b, h, t, d), (b, h, t, d), (2 * clip + 1, d))
+        index = clipped_distance(t, clip)
+        bias = np.where(rng.random((b, 1, 1, t)) < 0.3, -1e9, 0.0)
+        weights = rng.standard_normal((b, h, t, t))
+        scaling = 1 / np.sqrt(d)
+
+        out = ad.attention_scores(q, k, rel, index, bias, scaling)
+        backward(ad.mean(ad.mul(out, tensor(weights))))
+        want = gathered_scores(
+            q.data, k.data, rel.data, index, bias, scaling, weights / weights.size
+        )
+        for got, ref in zip((out.data, q.grad, k.grad, rel.grad), want):
+            assert got.shape == ref.shape
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "index",
+        [
+            clipped_distance(6, 2),  # clipped tighter than the table's c = 3
+            clipped_distance(6, 3).T,  # i - j instead of j - i
+            clipped_distance(5, 3),  # a different length from q
+            np.full((6, 6), 3),
+        ],
+    )
+    def test_rejects_other_index_matrices(self, index):
+        rng = np.random.default_rng(47)
+        q, k, rel = params(rng, (1, 1, 6, 2), (1, 1, 6, 2), (7, 2))
+        with pytest.raises(ValueError, match="rel_index"):
+            ad.attention_scores(q, k, rel, index, np.zeros((1, 1, 1, 6)), 1.0)
+
+    def test_rejects_even_table(self):
+        rng = np.random.default_rng(48)
+        q, k, rel = params(rng, (1, 1, 6, 2), (1, 1, 6, 2), (6, 2))
+        with pytest.raises(ValueError, match="rel_table"):
+            ad.attention_scores(q, k, rel, clipped_distance(6, 2), np.zeros((1, 1, 1, 6)), 1.0)
+
+    def test_float32_in_float32_out(self):
+        rng = np.random.default_rng(49)
+        b, h, t, d, clip = 2, 2, 12, 4, 3
+        q, k, rel = (
+            Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+            for s in ((b, h, t, d), (b, h, t, d), (2 * clip + 1, d))
+        )
+        bias = np.zeros((b, 1, 1, t), np.float32)
+        # a numpy float64 scaling must not promote the result
+        out = ad.attention_scores(q, k, rel, clipped_distance(t, clip), bias, 1 / np.sqrt(d))
+        backward(ad.mean(out))
+        assert out.data.dtype == np.float32
+        assert q.grad.dtype == k.grad.dtype == rel.grad.dtype == np.float32
+
+    def test_memory_stays_below_a_gathered_table(self):
+        rng = np.random.default_rng(50)
+        t, d, clip = 512, 64, 64
+        q, k, rel = (
+            Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+            for s in ((1, 1, t, d), (1, 1, t, d), (2 * clip + 1, d))
+        )
+        index = clipped_distance(t, clip)
+        bias = np.zeros((1, 1, 1, t), np.float32)
+        tracemalloc.start()
+        try:
+            backward(ad.mean(ad.attention_scores(q, k, rel, index, bias, 0.125)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a float32 (T, T, D) gather alone would be 64 MiB
+        assert peak < 16 * 2**20
+
+    def test_band_is_built_one_head_at_a_time(self):
+        rng = np.random.default_rng(51)
+        b, h, t, d, clip = 4, 2, 256, 8, 16
+        q, k, rel = params(rng, (b, h, t, d), (b, h, t, d), (2 * clip + 1, d))
+        index = clipped_distance(t, clip)
+        bias = np.zeros((b, 1, 1, t))
+        g = rng.standard_normal((b, h, t, t))
+        scores_bytes = g.nbytes  # a full (B, H, T, 2T-1) band is twice this
+        tracemalloc.start()
+        try:
+            out = ad.attention_scores(q, k, rel, index, bias, 0.25)
+            _, forward_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            out._backward(g)
+            _, backward_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert forward_peak < 1.5 * scores_bytes
+        assert backward_peak - start < 0.5 * scores_bytes
 
 
 class TestBackwardContract:

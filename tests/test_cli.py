@@ -6,6 +6,8 @@ inspect stderr.
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -381,3 +383,33 @@ class TestPipeline:
         assert run("eval", "--checkpoint", runs / "ft" / "model.ckpt",
                    "--data", store, "--split", "test", "--out", runs / "ev") == 0
         assert (runs / "ev" / "report" / "metrics.txt").exists()
+
+
+# Three 16 MiB arrays allocated and freed four times; prints the page faults
+# of each round. glibc's default thresholds return the freed blocks to the
+# system and fault them in again every round.
+_ROUNDS = """
+import resource, sys
+import numpy as np
+from midibert import cli
+cli._pin_allocator()
+counts = []
+for _ in range(4):
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    blocks = [np.ones(2 << 20) for _ in range(3)]
+    del blocks
+    counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+print(*counts)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc mallopt")
+def test_pinned_allocator_reuses_freed_arrays():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _ROUNDS], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": src},  # no MALLOC_* settings from outside
+    ).stdout.split()
+    first, *later = map(int, out)
+    assert first > 0  # the heap grows once
+    assert max(later) < 50, out  # then the same blocks come back without faults

@@ -10,6 +10,7 @@ from midibert import autodiff as ad
 from midibert import masking
 from midibert import model as M
 from midibert import tokens
+from midibert.train import AdamW
 
 
 def content_remi_ids(rng, batch, length, fill):
@@ -406,6 +407,20 @@ class TestCheckpoints:
             assert np.array_equal(target.params[name].data, source.params[name].data)
         for name, data in fresh_head.items():
             assert np.array_equal(target.params[name].data, data)
+
+    def test_loaded_tensors_have_native_byte_order(self, tmp_path):
+        path = tmp_path / "pretrained.mbpt"
+        M.save_checkpoint(path, M.EncoderModel(M.desk_config("remi", init_seed=1)))
+        assert all(t.data.dtype.byteorder == "=" for t in M.load_checkpoint(path).params.values())
+
+        target = M.EncoderModel(M.desk_config("remi", head="note", num_classes=3, init_seed=2))
+        M.load_backbone(target, path)
+        optimizer = AdamW(target.params, lr=1e-3, weight_decay=0.01)
+        ids = content_remi_ids(np.random.default_rng(4), 1, 8, [6])
+        ad.backward(ad.mean(target.logits(ids)))
+        optimizer.step()
+        for name, t in target.params.items():
+            assert t.data.dtype.byteorder == "=", name
 
     def test_backbone_load_rejects_layout_mismatch(self, tmp_path):
         path = tmp_path / "pretrained.mbpt"
