@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import hashlib
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +28,7 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 VALID_FRACTION = 0.15  # pretrain corpus share held out for early stopping
+EVAL_BATCH_SIZE = 12  # chunks per forward in eval
 CORPUS_MODES = ("all", "train-splits", "pretrain-only")
 
 
@@ -262,40 +261,17 @@ def cmd_synth(options: dict) -> int:
 
 # --- prepare ---------------------------------------------------------------------
 
-def _max_workers(n_files: int) -> int:
-    raw = os.environ.get("MIDIBERT_THREADS", "")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise UsageError(f"MIDIBERT_THREADS must be an integer: {raw!r}") from exc
-        if cap < 1:
-            raise UsageError(f"MIDIBERT_THREADS must be positive: {cap}")
-    else:
-        cap = min(8, os.cpu_count() or 1)
-    return max(1, min(cap, n_files))
-
-
 def _parse_midi_dir(midi_dir: Path, strict: bool):
     """Parse every .mid in name order; returns (scores, failures)."""
     files = sorted(midi_dir.glob("*.mid"))
     if not files:
         raise ValueError(f"{midi_dir}: no .mid files")
-
-    def parse_one(path: Path):
-        try:
-            return smf.score_from_bytes(path.read_bytes(), source_id=path.stem)
-        except smf.SmfError as exc:
-            return exc
-
-    with ThreadPoolExecutor(max_workers=_max_workers(len(files))) as pool:
-        results = list(pool.map(parse_one, files))
     scores, failures = [], []
-    for path, result in zip(files, results):
-        if isinstance(result, Exception):
-            failures.append((path.name, str(result)))
-        else:
-            scores.append(result)
+    for path in files:
+        try:
+            scores.append(smf.score_from_bytes(path.read_bytes(), source_id=path.stem))
+        except smf.SmfError as exc:
+            failures.append((path.name, str(exc)))
     for name, message in failures:
         print(f"skipped {name}: {message}", file=sys.stderr)
     if failures and strict:
@@ -483,27 +459,6 @@ def _single_store(options: dict, command: str) -> Path:
     return Path(options["data"][0])
 
 
-def _predictions(model, data, indices, batch_size=12):
-    """Argmax predictions and aligned labels for the given chunk rows."""
-    preds, labels = [], []
-    for start in range(0, len(indices), batch_size):
-        batch_idx = indices[start : start + batch_size]
-        logits = model.logits(data.ids[batch_idx], training=False)
-        preds.append(np.argmax(logits.data, axis=-1))
-        if data.task.level == "note":
-            labels.append(data.note_labels[batch_idx])
-        else:
-            labels.append(data.seq_labels[batch_idx])
-    return np.concatenate(preds), np.concatenate(labels)
-
-
-def _train_split_labels(data):
-    idx = data.indices("train")
-    if data.task.level == "note":
-        return data.note_labels[idx]
-    return data.seq_labels[idx]
-
-
 def cmd_finetune(options: dict) -> int:
     if options["checkpoint"] and options["no_pretrain"]:
         raise UsageError("--checkpoint and --no-pretrain are mutually exclusive")
@@ -544,11 +499,12 @@ def cmd_finetune(options: dict) -> int:
             inputs[key] = Path(options[key])
     write_run_config(out_dir, options, inputs)
 
-    log, test_accuracy = train.finetune(model, data, config, out_dir / "model.ckpt")
-
-    test_idx = data.indices("test")
-    preds, labels = _predictions(model, data, test_idx, options["batch_size"])
-    majority = evaluate.majority_baseline(_train_split_labels(data))
+    log = train.fit_classifier(model, data, config, out_dir / "model.ckpt")
+    _, preds, labels = train.evaluate_classifier(
+        model, data, data.indices("test"), config.batch_size
+    )
+    test_accuracy = evaluate.accuracy(preds, labels)
+    majority = evaluate.majority_baseline(train.task_labels(data)[data.indices("train")])
     baseline_accuracy = evaluate.accuracy(np.full_like(labels, majority), labels)
     table = evaluate.confusion(preds, labels, data.task.class_names)
     split_sizes = {name: int(data.indices(name).size) for name in corpus.SPLIT_NAMES}
@@ -580,7 +536,7 @@ def cmd_eval(options: dict) -> int:
     if indices.size == 0:
         raise ValueError(f"split {options['split']!r} is empty")
 
-    preds, labels = _predictions(model, data, indices)
+    _, preds, labels = train.evaluate_classifier(model, data, indices, EVAL_BATCH_SIZE)
     table = evaluate.confusion(preds, labels, data.task.class_names)
 
     out_dir = Path(options["out"])

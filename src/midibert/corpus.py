@@ -547,8 +547,10 @@ def load_task_data(store_dir: str | Path) -> TaskData:
     ids_rows, piece_row, split_row = [], [], []
     note_rows: list[np.ndarray] = []
     seq_rows: list[int] = []
-    for piece_id in store.piece_ids():
-        piece_chunks = store.chunks_of(piece_id)
+    by_piece: dict[str, list[ChunkedSequence]] = {}
+    for c in store.chunks:  # one pass, pieces in first-seen order
+        by_piece.setdefault(c.piece_id, []).append(c)
+    for piece_id, piece_chunks in by_piece.items():
         if piece_id not in splits:
             raise ValueError(f"{store_dir}: piece {piece_id!r} missing from manifest")
         if task_spec.level == "note":

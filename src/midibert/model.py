@@ -121,77 +121,89 @@ def _dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.add(ad.matmul(x, w), b)
 
 
+def _param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, init) of every parameter, in construction order; init
+    is "normal", "zeros" or "ones"."""
+    voc = vocab(config.representation)
+    layout = []
+
+    def par(name: str, shape, init: str = "normal") -> None:
+        layout.append((name, tuple(shape), init))
+
+    hid = config.hidden
+    if config.representation == "remi":
+        par("embed.tok", (len(voc), hid))
+    else:
+        dims = cp_embed_dims(hid, voc.field_sizes)
+        for field, size, dim in zip(CP_FIELDS, voc.field_sizes, dims):
+            par(f"embed.{field}", (size, dim))
+        par("embed.proj.w", (sum(dims), hid))
+        par("embed.proj.b", (hid,), "zeros")
+
+    head_dim = hid // config.heads
+    for i in range(config.layers):
+        pre = f"layers.{i}."
+        for name in ("wq", "wk", "wv", "wo"):
+            par(pre + f"attn.{name}", (hid, hid))
+        for name in ("bq", "bk", "bv", "bo"):
+            par(pre + f"attn.{name}", (hid,), "zeros")
+        if config.position_mode == "relative":
+            par(pre + "attn.rel", (2 * config.rel_clip + 1, head_dim))
+        par(pre + "ln1.g", (hid,), "ones")
+        par(pre + "ln1.b", (hid,), "zeros")
+        par(pre + "ff.w1", (hid, config.ff))
+        par(pre + "ff.b1", (config.ff,), "zeros")
+        par(pre + "ff.w2", (config.ff, hid))
+        par(pre + "ff.b2", (hid,), "zeros")
+        par(pre + "ln2.g", (hid,), "ones")
+        par(pre + "ln2.b", (hid,), "zeros")
+
+    if config.head == "mlm":
+        if config.representation == "remi":
+            par("head.mlm.w", (hid, len(voc)))
+            par("head.mlm.b", (len(voc),), "zeros")
+        else:
+            for field, size in zip(CP_FIELDS, voc.field_sizes):
+                par(f"head.mlm.{field}.w", (hid, size))
+                par(f"head.mlm.{field}.b", (size,), "zeros")
+    elif config.head == "note":
+        par("head.note.w1", (hid, hid))
+        par("head.note.b1", (hid,), "zeros")
+        par("head.note.w2", (hid, config.num_classes))
+        par("head.note.b2", (config.num_classes,), "zeros")
+    else:
+        par("head.seq.score", (hid, 1))
+        par("head.seq.w1", (hid, hid))
+        par("head.seq.b1", (hid,), "zeros")
+        par("head.seq.w2", (hid, config.num_classes))
+        par("head.seq.b2", (config.num_classes,), "zeros")
+    return layout
+
+
 class EncoderModel:
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, params: dict[str, Tensor] | None = None):
+        """A fresh model drawn from `config.init_seed`, or, when `params` is
+        given, one holding those tensors as they are (no draw is made)."""
         self.config = config
         self.vocab = vocab(config.representation)
-        rng = np.random.default_rng([config.init_seed])
-        params: dict[str, Tensor] = {}
-
-        def par(name: str, shape, init: str = "normal") -> None:
-            if init == "normal":
-                data = _trunc_normal(rng, shape)
-            elif init == "zeros":
-                data = np.zeros(shape)
-            else:
-                data = np.ones(shape)
-            params[name] = ad.tensor(data, requires_grad=True)
-
-        hid = config.hidden
-        if config.representation == "remi":
-            par("embed.tok", (len(self.vocab), hid))
-        else:
-            dims = cp_embed_dims(hid, self.vocab.field_sizes)
-            for field, size, dim in zip(CP_FIELDS, self.vocab.field_sizes, dims):
-                par(f"embed.{field}", (size, dim))
-            par("embed.proj.w", (sum(dims), hid))
-            par("embed.proj.b", (hid,), "zeros")
-
-        head_dim = hid // config.heads
-        for i in range(config.layers):
-            pre = f"layers.{i}."
-            for name in ("wq", "wk", "wv", "wo"):
-                par(pre + f"attn.{name}", (hid, hid))
-            for name in ("bq", "bk", "bv", "bo"):
-                par(pre + f"attn.{name}", (hid,), "zeros")
-            if config.position_mode == "relative":
-                par(pre + "attn.rel", (2 * config.rel_clip + 1, head_dim))
-            par(pre + "ln1.g", (hid,), "ones")
-            par(pre + "ln1.b", (hid,), "zeros")
-            par(pre + "ff.w1", (hid, config.ff))
-            par(pre + "ff.b1", (config.ff,), "zeros")
-            par(pre + "ff.w2", (config.ff, hid))
-            par(pre + "ff.b2", (hid,), "zeros")
-            par(pre + "ln2.g", (hid,), "ones")
-            par(pre + "ln2.b", (hid,), "zeros")
-
-        if config.head == "mlm":
-            if config.representation == "remi":
-                par("head.mlm.w", (hid, len(self.vocab)))
-                par("head.mlm.b", (len(self.vocab),), "zeros")
-            else:
-                for field, size in zip(CP_FIELDS, self.vocab.field_sizes):
-                    par(f"head.mlm.{field}.w", (hid, size))
-                    par(f"head.mlm.{field}.b", (size,), "zeros")
-        elif config.head == "note":
-            par("head.note.w1", (hid, hid))
-            par("head.note.b1", (hid,), "zeros")
-            par("head.note.w2", (hid, config.num_classes))
-            par("head.note.b2", (config.num_classes,), "zeros")
-        else:
-            par("head.seq.score", (hid, 1))
-            par("head.seq.w1", (hid, hid))
-            par("head.seq.b1", (hid,), "zeros")
-            par("head.seq.w2", (hid, config.num_classes))
-            par("head.seq.b2", (config.num_classes,), "zeros")
-
+        if params is None:
+            rng = np.random.default_rng([config.init_seed])
+            params = {}
+            for name, shape, init in _param_layout(config):
+                if init == "normal":
+                    data = _trunc_normal(rng, shape)
+                elif init == "zeros":
+                    data = np.zeros(shape)
+                else:
+                    data = np.ones(shape)
+                params[name] = ad.tensor(data, requires_grad=True)
         self.params = params
         if config.position_mode == "relative":
             steps = np.arange(config.max_len)
             distance = steps[None, :] - steps[:, None]
             self._rel_index = np.clip(distance, -config.rel_clip, config.rel_clip) + config.rel_clip
         else:
-            self._sin_table = _sinusoid_table(config.max_len, hid)
+            self._sin_table = _sinusoid_table(config.max_len, config.hidden)
 
     def param_count(self) -> int:
         return sum(t.data.size for t in self.params.values())
@@ -439,14 +451,13 @@ def load_checkpoint(path) -> EncoderModel:
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: bad config in checkpoint: {exc}") from exc
         tensors = _read_tensors(fh, header, path)
-    model = EncoderModel(config)
-    if set(tensors) != set(model.params):
+    shapes = {name: shape for name, shape, _ in _param_layout(config)}
+    if set(tensors) != set(shapes):
         raise CheckpointError(f"{path}: checkpoint tensors do not match the config's layout")
     for name, arr in tensors.items():
-        if arr.shape != model.params[name].data.shape:
+        if arr.shape != shapes[name]:
             raise CheckpointError(f"{path}: shape mismatch for {name!r}")
-        model.params[name].data = arr
-    return model
+    return EncoderModel(config, {name: Tensor(tensors[name], requires_grad=True) for name in shapes})
 
 
 def load_backbone(model: EncoderModel, path) -> list[str]:

@@ -1,11 +1,11 @@
-"""Training loops: AdamW, mini-batching, early stopping, epoch logging.
+"""Training: AdamW and one early-stopped epoch loop with two objectives.
 
-Pre-training minimizes the masked-reconstruction loss, reshuffling chunks
-and redrawing masks every epoch, and early-stops on validation loss;
-fine-tuning minimizes per-step or per-sequence cross entropy and
-early-stops on validation accuracy. Every random draw is derived from the
-run seed, and serialized logs carry no timing, so identical seeds produce
-byte-identical log files.
+Pre-training minimizes the masked-reconstruction loss, redrawing masks
+every epoch, and early-stops on validation loss; fine-tuning minimizes
+per-step or per-sequence cross entropy and early-stops on validation
+accuracy. Both run `_fit`: shuffle, batch, step, validate, keep the best
+checkpoint. Every random draw is derived from the run seed, and serialized
+logs carry no timing, so identical seeds produce byte-identical log files.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import corpus
+from . import evaluate
 from . import masking
 from . import model as M
 from .autodiff import Tensor
@@ -34,7 +35,6 @@ class TrainConfig:
     max_epochs: int = 500
     patience: int = 30
     seed: int = 0
-    precision: str = "single"  # model-construction dtype; loops never recast
     freeze: str | None = None
     grad_clip: float | None = 1.0
 
@@ -49,8 +49,6 @@ class TrainConfig:
             raise ValueError(f"patience must be in 1..max_epochs: {self.patience}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.precision not in ("single", "double"):
-            raise ValueError(f"unknown precision: {self.precision!r}")
         if self.freeze not in M.FREEZE_MODES:
             raise ValueError(f"unknown freeze mode: {self.freeze!r}")
         if self.grad_clip is not None and not self.grad_clip > 0:
@@ -214,37 +212,26 @@ def evaluate_mlm(
     return total_loss / total_selected, total_correct / total_selected
 
 
-def pretrain(
-    model: M.EncoderModel,
-    train_ids: np.ndarray,
-    valid_ids: np.ndarray,
-    config: TrainConfig,
-    checkpoint_path,
-) -> TrainLog:
-    if model.config.head != "mlm":
-        raise ValueError(f"pre-training needs an mlm head, got {model.config.head!r}")
-    train_ids = np.asarray(train_ids)
-    valid_ids = np.asarray(valid_ids)
-    if len(train_ids) == 0 or len(valid_ids) == 0:
-        raise ValueError("empty pre-training corpus")
-
+def _fit(model, config, checkpoint_path, rows, batch_loss, validate, monitor) -> TrainLog:
+    """The epoch loop behind pre-training and fine-tuning: shuffle `rows`
+    per (seed, epoch), step AdamW on `batch_loss(batch_rows, epoch, bi)`
+    (None skips a batch), score `validate()` -> (loss, accuracy), save the
+    checkpoint when `monitor` improves (lower valid_loss, higher
+    valid_accuracy), and stop after `patience` epochs without one. The
+    model keeps the last epoch's weights."""
     trainable = apply_freeze(model, config.freeze)
     opt = AdamW(trainable, config.lr, config.weight_decay, config.grad_clip)
-    valid_mask_seed = _derive(config.seed, 1_000_003)  # fixed across epochs
-    log = TrainLog(monitor="valid_loss")
+    log = TrainLog(monitor=monitor)
     best = np.inf
     bad = 0
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
-        order = np.random.default_rng([config.seed, epoch]).permutation(len(train_ids))
+        order = np.random.default_rng([config.seed, epoch]).permutation(rows)
         batch_losses = []
-        for bi, batch_idx in enumerate(_batches(order, config.batch_size)):
-            mb = masking.corrupt(
-                train_ids[batch_idx], model.vocab, seed=_derive(config.seed, epoch, bi)
-            )
-            if not mb.loss_mask.any():
+        for bi, batch_rows in enumerate(_batches(order, config.batch_size)):
+            loss = batch_loss(batch_rows, epoch, bi)
+            if loss is None:
                 continue
-            loss, _ = M.mlm_loss(model, mb, training=True, seed=_derive(config.seed, epoch, bi, 1))
             if not np.isfinite(loss.data):
                 raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
             opt.zero_grad()
@@ -253,7 +240,7 @@ def pretrain(
             batch_losses.append(float(loss.data))
         if not batch_losses:
             raise ValueError("no usable training batches (nothing was selected for masking)")
-        valid_loss, valid_acc = evaluate_mlm(model, valid_ids, config.batch_size, valid_mask_seed)
+        valid_loss, valid_acc = validate()
         log.rows.append(
             EpochRow(
                 epoch,
@@ -263,8 +250,9 @@ def pretrain(
                 time.perf_counter() - started,
             )
         )
-        if valid_loss < best:
-            best = valid_loss
+        score = valid_loss if monitor == "valid_loss" else -valid_acc
+        if score < best:
+            best = score
             log.best_epoch = epoch
             bad = 0
             M.save_checkpoint(checkpoint_path, model)
@@ -274,6 +262,36 @@ def pretrain(
             log.stopped_early = True
             break
     return log
+
+
+def pretrain(
+    model: M.EncoderModel,
+    train_ids: np.ndarray,
+    valid_ids: np.ndarray,
+    config: TrainConfig,
+    checkpoint_path,
+) -> TrainLog:
+    """Masked-token pre-training, early-stopped on the loss over one fixed
+    corruption of `valid_ids`."""
+    if model.config.head != "mlm":
+        raise ValueError(f"pre-training needs an mlm head, got {model.config.head!r}")
+    train_ids = np.asarray(train_ids)
+    valid_ids = np.asarray(valid_ids)
+    if len(train_ids) == 0 or len(valid_ids) == 0:
+        raise ValueError("empty pre-training corpus")
+    valid_mask_seed = _derive(config.seed, 1_000_003)  # fixed across epochs
+
+    def batch_loss(rows, epoch, bi):
+        mb = masking.corrupt(train_ids[rows], model.vocab, seed=_derive(config.seed, epoch, bi))
+        if not mb.loss_mask.any():
+            return None
+        return M.mlm_loss(model, mb, training=True, seed=_derive(config.seed, epoch, bi, 1))[0]
+
+    def validate():
+        return evaluate_mlm(model, valid_ids, config.batch_size, valid_mask_seed)
+
+    rows = np.arange(len(train_ids))
+    return _fit(model, config, checkpoint_path, rows, batch_loss, validate, "valid_loss")
 
 
 # --- fine-tuning -----------------------------------------------------------------
@@ -314,35 +332,68 @@ def _class_loss(model, ids, labels, level, *, training, seed):
     return loss, logits
 
 
-def _count_correct(logits, labels, level) -> tuple[int, int]:
-    pred = np.argmax(logits.data, axis=-1)
-    if level == "note":
-        labeled = labels != corpus.IGNORE_LABEL
-        return int((pred[labeled] == labels[labeled]).sum()), int(labeled.sum())
-    return int((pred == labels).sum()), len(labels)
+def task_labels(data: corpus.TaskData) -> np.ndarray:
+    """Per-chunk label rows: (N, T) note labels or (N,) sequence labels."""
+    return data.note_labels if data.task.level == "note" else data.seq_labels
 
 
 def evaluate_classifier(
     model: M.EncoderModel, data: corpus.TaskData, indices: np.ndarray, batch_size: int
-) -> tuple[float, float]:
-    """(loss, accuracy) over the given chunk indices, label-weighted."""
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(loss, predictions, labels) over the given chunk indices: the
+    label-weighted mean loss, argmax predictions and the aligned labels."""
     level = data.task.level
+    labels = task_labels(data)
     total_loss = 0.0
-    correct = 0
     labeled = 0
+    preds = []
     for batch_idx in _batches(indices, batch_size):
-        ids = data.ids[batch_idx]
-        labels = (
-            data.note_labels[batch_idx] if level == "note" else data.seq_labels[batch_idx]
+        truth = labels[batch_idx]
+        loss, logits = _class_loss(
+            model, data.ids[batch_idx], truth, level, training=False, seed=0
         )
-        loss, logits = _class_loss(model, ids, labels, level, training=False, seed=0)
-        c, n = _count_correct(logits, labels, level)
+        n = int((truth != corpus.IGNORE_LABEL).sum())
         total_loss += float(loss.data) * n
-        correct += c
         labeled += n
+        preds.append(np.argmax(logits.data, axis=-1))
     if labeled == 0:
         raise ValueError("no labeled positions to evaluate")
-    return total_loss / labeled, correct / labeled
+    return total_loss / labeled, np.concatenate(preds), labels[indices]
+
+
+def fit_classifier(
+    model: M.EncoderModel,
+    data: corpus.TaskData,
+    config: TrainConfig,
+    checkpoint_path,
+) -> TrainLog:
+    """Train on the corpus train split and early-stop on valid accuracy;
+    the model is left holding the best epoch's parameters."""
+    check_task_model(model, data)
+    level = data.task.level
+    splits = {name: data.indices(name) for name in ("train", "valid", "test")}
+    for name, idx in splits.items():
+        if idx.size == 0:
+            raise ValueError(f"empty {name} split")
+    labels = task_labels(data)
+
+    def batch_loss(rows, epoch, bi):
+        return _class_loss(
+            model, data.ids[rows], labels[rows], level,
+            training=True, seed=_derive(config.seed, epoch, bi),
+        )[0]
+
+    def validate():
+        loss, preds, truth = evaluate_classifier(model, data, splits["valid"], config.batch_size)
+        return loss, evaluate.accuracy(preds, truth)
+
+    log = _fit(
+        model, config, checkpoint_path, splits["train"], batch_loss, validate, "valid_accuracy"
+    )
+    best_model = M.load_checkpoint(checkpoint_path)
+    for name, t in best_model.params.items():
+        model.params[name].data = t.data
+    return log
 
 
 def finetune(
@@ -351,62 +402,7 @@ def finetune(
     config: TrainConfig,
     checkpoint_path,
 ) -> tuple[TrainLog, float]:
-    """Train on the corpus train split, early-stop on valid accuracy, then
-    report test accuracy of the best checkpoint (model is left holding the
-    best parameters)."""
-    check_task_model(model, data)
-    level = data.task.level
-    splits = {name: data.indices(name) for name in ("train", "valid", "test")}
-    for name, idx in splits.items():
-        if idx.size == 0:
-            raise ValueError(f"empty {name} split")
-
-    trainable = apply_freeze(model, config.freeze)
-    opt = AdamW(trainable, config.lr, config.weight_decay, config.grad_clip)
-    log = TrainLog(monitor="valid_accuracy")
-    best = -np.inf
-    bad = 0
-    for epoch in range(1, config.max_epochs + 1):
-        started = time.perf_counter()
-        order = np.random.default_rng([config.seed, epoch]).permutation(splits["train"])
-        batch_losses = []
-        for bi, batch_idx in enumerate(_batches(order, config.batch_size)):
-            ids = data.ids[batch_idx]
-            labels = (
-                data.note_labels[batch_idx] if level == "note" else data.seq_labels[batch_idx]
-            )
-            loss, _ = _class_loss(
-                model, ids, labels, level, training=True, seed=_derive(config.seed, epoch, bi)
-            )
-            if not np.isfinite(loss.data):
-                raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step()
-            batch_losses.append(float(loss.data))
-        valid_loss, valid_acc = evaluate_classifier(model, data, splits["valid"], config.batch_size)
-        log.rows.append(
-            EpochRow(
-                epoch,
-                float(np.mean(batch_losses)),
-                valid_loss,
-                valid_acc,
-                time.perf_counter() - started,
-            )
-        )
-        if valid_acc > best:
-            best = valid_acc
-            log.best_epoch = epoch
-            bad = 0
-            M.save_checkpoint(checkpoint_path, model)
-        else:
-            bad += 1
-        if bad >= config.patience:
-            log.stopped_early = True
-            break
-
-    best_model = M.load_checkpoint(checkpoint_path)
-    for name, t in best_model.params.items():
-        model.params[name].data = t.data
-    _, test_acc = evaluate_classifier(model, data, splits["test"], config.batch_size)
-    return log, test_acc
+    """`fit_classifier`, then the test accuracy of the best checkpoint."""
+    log = fit_classifier(model, data, config, checkpoint_path)
+    _, preds, labels = evaluate_classifier(model, data, data.indices("test"), config.batch_size)
+    return log, evaluate.accuracy(preds, labels)

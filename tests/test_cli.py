@@ -145,15 +145,6 @@ class TestPrepare:
         assert run("prepare", "--midi", empty, "--task", "pretrain",
                    "--out", tmp_path / "x") == 2
 
-    def test_thread_cap_validated(self, tmp_path, monkeypatch):
-        midi = make_melody_corpus(tmp_path)
-        monkeypatch.setenv("MIDIBERT_THREADS", "zero")
-        assert run("prepare", "--midi", midi, "--task", "pretrain",
-                   "--out", tmp_path / "x") == 1
-        monkeypatch.setenv("MIDIBERT_THREADS", "2")
-        assert run("prepare", "--midi", midi, "--task", "pretrain",
-                   "--out", tmp_path / "t2", "--ratios", "3,1,1") == 0
-
 
 @pytest.fixture(scope="module")
 def corpora(tmp_path_factory):
@@ -240,6 +231,29 @@ class TestFinetune:
         loaded = M.load_checkpoint(finetuned / "model.ckpt")
         assert loaded.config.head == "note"
         assert loaded.config.num_classes == 3
+
+    def test_scores_test_split_once(self, corpora, tmp_path, monkeypatch):
+        data = corpus.load_task_data(corpora["melody_store"])
+        n_valid, n_test = data.indices("valid").size, data.indices("test").size
+        eval_rows = []
+        logits = M.EncoderModel.logits
+
+        def counting(self, ids, *, training=False, seed=0):
+            if not training:
+                eval_rows.append(len(ids))
+            return logits(self, ids, training=training, seed=seed)
+
+        monkeypatch.setattr(M.EncoderModel, "logits", counting)
+        out = tmp_path / "once"
+        assert run("finetune", "--task", "melody", "--data", corpora["melody_store"],
+                   "--out", out, "--no-pretrain", "--max-epochs", 2, "--patience", 2,
+                   "--batch-size", 4, "--lr", "1e-3", "--seed", 0) == 0
+        assert sum(eval_rows) == 2 * n_valid + n_test  # valid each epoch, test once
+        rows = (out / "report" / "confusion_counts.csv").read_text().splitlines()[1:]
+        counts = np.array([[int(v) for v in row.split(",")[1:]] for row in rows])
+        expected = f"test_accuracy = {int(np.trace(counts)) / int(counts.sum())!r}"
+        assert expected in (out / "summary.txt").read_text().splitlines()
+        assert expected in (out / "report" / "metrics.txt").read_text().splitlines()
 
     def test_flag_conflicts_fail_before_writing(self, corpora, tmp_path, capsys):
         out = tmp_path / "never"

@@ -12,7 +12,9 @@ import pytest
 
 from midibert.corpus import (
     IGNORE_LABEL,
+    SPLIT_NAMES,
     LabeledPiece,
+    Store,
     SynthSpec,
     attach_note_labels,
     derive_velocity_labels,
@@ -354,6 +356,28 @@ class TestTaskData:
                 assert manifest.split_of(data.piece_ids[i]) == split_name
         labeled = data.note_labels != IGNORE_LABEL
         assert labeled.sum() == sum(len(p.score.notes) for p in corpus)
+
+    def test_groups_chunks_without_per_piece_scans(self, tmp_path, monkeypatch):
+        corpus, manifest = self.write_melody_dir(tmp_path)
+        chunks = load_store(tmp_path / "chunks.jsonl").chunks
+
+        def scan(self, piece_id):
+            raise AssertionError("load_task_data scanned the store for one piece")
+
+        monkeypatch.setattr(Store, "chunks_of", scan)
+        data = load_task_data(tmp_path)
+        assert data.piece_ids == tuple(c.piece_id for c in chunks)
+        assert np.array_equal(data.ids, np.stack([c.ids for c in chunks]))
+        expected_labels = [
+            row
+            for p in corpus
+            for row in propagate_note_labels(
+                p.note_labels, [c for c in chunks if c.piece_id == p.piece_id]
+            )
+        ]
+        assert np.array_equal(data.note_labels, np.stack(expected_labels))
+        expected_splits = [SPLIT_NAMES.index(manifest.split_of(c.piece_id)) for c in chunks]
+        assert data.split_of.tolist() == expected_splits
 
     def test_missing_manifest_entry_rejected(self, tmp_path):
         corpus, manifest = self.write_melody_dir(tmp_path)

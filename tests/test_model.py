@@ -3,6 +3,8 @@ reconstruction objective, and the checkpoint container."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -391,6 +393,38 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(M.CheckpointError, match="trailing"):
             M.load_checkpoint(path)
+
+    def test_tensor_list_must_match_config(self, tmp_path):
+        m = M.EncoderModel(M.desk_config("remi", layers=1))
+        m.config = replace(m.config, layers=2)  # the header promises a second layer
+        path = tmp_path / "model.mbpt"
+        M.save_checkpoint(path, m)
+        with pytest.raises(M.CheckpointError, match="layout"):
+            M.load_checkpoint(path)
+
+    def test_tensor_shape_must_match_config(self, tmp_path):
+        m = M.EncoderModel(M.desk_config("remi", layers=1))
+        m.config = replace(m.config, ff=256)
+        path = tmp_path / "model.mbpt"
+        M.save_checkpoint(path, m)
+        with pytest.raises(M.CheckpointError, match="shape mismatch for 'layers.0.ff"):
+            M.load_checkpoint(path)
+
+    def test_load_draws_no_initialisation(self, tmp_path, monkeypatch):
+        m = M.EncoderModel(M.desk_config("cp", head="seq", num_classes=4, init_seed=5))
+        path = tmp_path / "model.mbpt"
+        M.save_checkpoint(path, m)
+
+        def draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random initialisation")
+
+        monkeypatch.setattr(M, "_trunc_normal", draw)
+        again = M.load_checkpoint(path)
+        assert list(again.params) == list(m.params)
+        for name, t in m.params.items():
+            assert t.data.dtype == again.params[name].data.dtype
+            assert np.array_equal(t.data, again.params[name].data), name
+            assert again.params[name].requires_grad
 
     def test_backbone_load_skips_head(self, tmp_path):
         source = M.EncoderModel(M.desk_config("remi", init_seed=1))

@@ -8,6 +8,7 @@ import pytest
 
 from midibert import autodiff as ad
 from midibert import corpus
+from midibert import evaluate
 from midibert import model as M
 from midibert import train
 from midibert.autodiff import tensor
@@ -53,7 +54,7 @@ class TestTrainConfig:
         assert (cfg.max_epochs, cfg.patience) == (500, 30)
         ft = train.finetune_config()
         assert (ft.max_epochs, ft.patience) == (10, 3)
-        assert ft.grad_clip == 1.0 and ft.precision == "single"
+        assert ft.grad_clip == 1.0
 
     def test_overrides(self):
         cfg = train.finetune_config(lr=1e-3, patience=2, freeze="backbone")
@@ -70,7 +71,6 @@ class TestTrainConfig:
             {"patience": 31, "max_epochs": 30},
             {"max_epochs": 0},
             {"seed": -1},
-            {"precision": "half"},
             {"freeze": "heads"},
             {"grad_clip": 0.0},
         ],
@@ -358,8 +358,8 @@ class TestFinetune:
         assert log.best_row().valid_accuracy > 0.9
         assert test_acc > 0.9
         # the returned model must hold the best weights
-        _, again = train.evaluate_classifier(m, data, data.indices("test"), 4)
-        assert again == test_acc
+        _, preds, labels = train.evaluate_classifier(m, data, data.indices("test"), 4)
+        assert evaluate.accuracy(preds, labels) == test_acc
 
     def test_seq_task_learns(self, tmp_path):
         rng = np.random.default_rng(8)
