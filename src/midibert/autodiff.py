@@ -6,10 +6,11 @@ graph once in reverse topological order, accumulates gradients into
 `.grad`, and then tears the graph down (so a second backward without a new
 forward is an error, and activations are freed as soon as possible).
 
-Training runs in float32. `set_default_dtype(np.float64)` flips newly
-created tensors to double precision for finite-difference verification;
-`gradcheck` compares analytic gradients against central differences on a
-random subset of coordinates.
+Precision follows the inputs: `tensor` and non-float data make float32,
+and every op computes in the dtype of its operands, so a model whose
+parameters are widened to float64 runs in double precision (as
+finite-difference verification needs). `gradcheck` compares analytic
+gradients against central differences on a random subset of coordinates.
 """
 
 from __future__ import annotations
@@ -17,19 +18,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-
-_default_dtype = np.float32
-
-
-def set_default_dtype(dtype) -> None:
-    global _default_dtype
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("dtype must be np.float32 or np.float64")
-    _default_dtype = dtype
-
-
-def default_dtype():
-    return _default_dtype
 
 
 class Tensor:
@@ -44,7 +32,7 @@ class Tensor:
     ):
         array = np.asarray(data)
         if not np.issubdtype(array.dtype, np.floating):
-            array = array.astype(_default_dtype)
+            array = array.astype(np.float32)
         self.data = array
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
@@ -64,7 +52,7 @@ class Tensor:
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.asarray(data, dtype=_default_dtype), requires_grad=requires_grad)
+    return Tensor(np.asarray(data, dtype=np.float32), requires_grad=requires_grad)
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:

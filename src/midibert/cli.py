@@ -41,14 +41,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int(value: str) -> int:
-    return int(value)
-
-
-def _float(value: str) -> float:
-    return float(value)
-
-
 def _bool(value: str) -> bool:
     low = value.strip().lower()
     if low in ("true", "1", "yes"):
@@ -62,105 +54,87 @@ def _str_list(value: str) -> list[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
-# flag name -> converter used both for config-file values and defaults
-_CONVERTERS = {
-    "task": str, "out": str, "midi": str, "data": _str_list, "checkpoint": str,
-    "note_labels": str, "seq_labels": str, "config": str, "representation": str,
-    "ratios": str, "style": str, "corpus": str, "preset": str, "split": str,
-    "pieces": _int, "bars": _int, "notes_per_bar": _int, "seed": _int,
-    "batch_size": _int, "max_epochs": _int, "patience": _int,
-    "lr": _float, "weight_decay": _float,
-    "strict": _bool, "dry_run": _bool, "no_pretrain": _bool,
-    "freeze_backbone": _bool, "freeze_attention": _bool,
-}
-
-_COMMON_TRAIN_FLAGS = ("batch_size", "lr", "weight_decay", "max_epochs", "patience", "seed")
-
-_DEFAULTS = {
-    "synth": {"pieces": 20, "bars": 16, "notes_per_bar": 8, "style": "default", "seed": 0},
-    "prepare": {"representation": "remi", "ratios": "8,1,1", "seed": 0, "strict": False},
-    "pretrain": {
-        "corpus": "all", "preset": "desk", "dry_run": False,
-        "batch_size": 12, "lr": 2e-5, "weight_decay": 0.01,
-        "max_epochs": 500, "patience": 30, "seed": 0,
-    },
-    "finetune": {
-        "preset": "desk", "no_pretrain": False,
-        "freeze_backbone": False, "freeze_attention": False,
-        "batch_size": 12, "lr": 2e-5, "weight_decay": 0.01,
-        "max_epochs": 10, "patience": 3, "seed": 0,
-    },
-    "eval": {"split": "test"},
-    "skyline": {},
-}
+_TRAIN_FLAGS = ("batch_size", "lr", "weight_decay", "max_epochs", "patience", "seed")
 
 
-def build_parser() -> _Parser:
+def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
+    """The one option table: returns the parser and, per command, its flags'
+    argparse actions by name (type, choices and default live there)."""
     parser = _Parser(prog="midibert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    flags: dict[str, dict[str, argparse.Action]] = {}
 
-    def flag(p, name, **kw):
-        p.add_argument("--" + name.replace("_", "-"), dest=name, default=None, **kw)
+    def command(command_name, help):
+        p = sub.add_parser(command_name, help=help)
+        table = flags[command_name] = {}
 
-    p = sub.add_parser("synth", help="generate a synthetic labeled SMF corpus")
-    flag(p, "task", choices=sorted(corpus.TASKS), required=True)
-    flag(p, "out", required=True)
-    flag(p, "pieces", type=_int)
-    flag(p, "bars", type=_int)
-    flag(p, "notes_per_bar", type=_int)
-    flag(p, "style", choices=("default", "pop", "ostinato"))
-    flag(p, "seed", type=_int)
-    flag(p, "config")
+        def flag(name, **kw):
+            table[name] = p.add_argument("--" + name.replace("_", "-"), **kw)
 
-    p = sub.add_parser("prepare", help="SMF directory + labels -> chunk store")
-    flag(p, "midi", required=True)
-    flag(p, "task", choices=sorted(corpus.TASKS), required=True)
-    flag(p, "out", required=True)
-    flag(p, "representation", choices=("remi", "cp"))
-    flag(p, "note_labels")
-    flag(p, "seq_labels")
-    flag(p, "ratios")
-    flag(p, "seed", type=_int)
-    flag(p, "strict", action="store_true")
-    flag(p, "config")
+        return flag
 
-    p = sub.add_parser("pretrain", help="masked-token pre-training over chunk stores")
-    p.add_argument("--data", dest="data", action="append", default=None, required=True)
-    flag(p, "out", required=True)
-    flag(p, "corpus", choices=CORPUS_MODES)
-    flag(p, "preset", choices=sorted(M.PRESETS))
-    for name in _COMMON_TRAIN_FLAGS:
-        flag(p, name, type=_CONVERTERS[name])
-    flag(p, "dry_run", action="store_true")
-    flag(p, "config")
+    def train_flags(flag, config: train.TrainConfig):
+        for name in _TRAIN_FLAGS:
+            value = getattr(config, name)
+            flag(name, type=type(value), default=value)
 
-    p = sub.add_parser("finetune", help="train a classification head on a task store")
-    flag(p, "task", choices=sorted(set(corpus.TASKS) - {"pretrain"}), required=True)
-    flag(p, "data", type=_str_list, required=True)
-    flag(p, "out", required=True)
-    flag(p, "checkpoint")
-    flag(p, "no_pretrain", action="store_true")
-    flag(p, "freeze_backbone", action="store_true")
-    flag(p, "freeze_attention", action="store_true")
-    flag(p, "preset", choices=sorted(M.PRESETS))
-    for name in _COMMON_TRAIN_FLAGS:
-        flag(p, name, type=_CONVERTERS[name])
-    flag(p, "config")
+    flag = command("synth", "generate a synthetic labeled SMF corpus")
+    flag("task", choices=sorted(corpus.TASKS), required=True)
+    flag("out", required=True)
+    flag("pieces", type=int, default=20)
+    flag("bars", type=int, default=16)
+    flag("notes_per_bar", type=int, default=8)
+    flag("style", choices=("default", "pop", "ostinato"), default="default")
+    flag("seed", type=int, default=0)
+    flag("config")
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on one split of a task store")
-    flag(p, "checkpoint", required=True)
-    flag(p, "data", type=_str_list, required=True)
-    flag(p, "split", choices=corpus.SPLIT_NAMES)
-    flag(p, "out", required=True)
-    flag(p, "config")
+    flag = command("prepare", "SMF directory + labels -> chunk store")
+    flag("midi", required=True)
+    flag("task", choices=sorted(corpus.TASKS), required=True)
+    flag("out", required=True)
+    flag("representation", choices=("remi", "cp"), default="remi")
+    flag("note_labels")
+    flag("seq_labels")
+    flag("ratios", default="8,1,1")
+    flag("seed", type=int, default=0)
+    flag("strict", action="store_true")
+    flag("config")
 
-    p = sub.add_parser("skyline", help="rule-based melody labels for an SMF directory")
-    flag(p, "midi", required=True)
-    flag(p, "note_labels")
-    flag(p, "out", required=True)
-    flag(p, "config")
+    flag = command("pretrain", "masked-token pre-training over chunk stores")
+    flag("data", action="append", required=True)
+    flag("out", required=True)
+    flag("corpus", choices=CORPUS_MODES, default="all")
+    flag("preset", choices=sorted(M.PRESETS), default="desk")
+    train_flags(flag, train.pretrain_config())
+    flag("dry_run", action="store_true")
+    flag("config")
 
-    return parser
+    flag = command("finetune", "train a classification head on a task store")
+    flag("task", choices=sorted(set(corpus.TASKS) - {"pretrain"}), required=True)
+    flag("data", type=_str_list, required=True)
+    flag("out", required=True)
+    flag("checkpoint")
+    flag("no_pretrain", action="store_true")
+    flag("freeze_backbone", action="store_true")
+    flag("freeze_attention", action="store_true")
+    flag("preset", choices=sorted(M.PRESETS), default="desk")
+    train_flags(flag, train.finetune_config())
+    flag("config")
+
+    flag = command("eval", "evaluate a checkpoint on one split of a task store")
+    flag("checkpoint", required=True)
+    flag("data", type=_str_list, required=True)
+    flag("split", choices=corpus.SPLIT_NAMES, default="test")
+    flag("out", required=True)
+    flag("config")
+
+    flag = command("skyline", "rule-based melody labels for an SMF directory")
+    flag("midi", required=True)
+    flag("note_labels")
+    flag("out", required=True)
+    flag("config")
+
+    return parser, flags
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -177,24 +151,34 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def resolve_options(args: argparse.Namespace) -> dict:
-    """CLI flags win over config-file entries, which win over defaults."""
-    options = dict(vars(args))
-    command = options.pop("command")
-    if options.get("config"):
-        for key, raw in read_config_file(options["config"]).items():
-            if key not in options or key == "config":
-                raise UsageError(f"config key {key!r} is not a {command} option")
-            if options[key] is None:
-                try:
-                    options[key] = _CONVERTERS[key](raw)
-                except ValueError as exc:
-                    raise UsageError(f"config key {key!r}: {exc}") from exc
-    for key, value in _DEFAULTS[command].items():
-        if options.get(key) is None:
-            options[key] = value
-    options["command"] = command
-    return options
+def resolve_options(argv: list[str] | None) -> dict:
+    """CLI flags win over config-file entries, which win over defaults.
+
+    A config entry is checked like its flag (type, then choices) and becomes
+    that flag's default before argv is parsed again. Entries for flags the
+    command line must give are ignored."""
+    parser, flags = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        table = flags[args.command]
+        for key, raw in read_config_file(args.config).items():
+            action = table.get(key)
+            if action is None or key == "config":
+                raise UsageError(f"config key {key!r} is not a {args.command} option")
+            if action.required:
+                continue
+            convert = action.type or (_bool if action.nargs == 0 else str)
+            try:
+                value = convert(raw)
+            except ValueError as exc:
+                raise UsageError(f"config key {key!r}: {exc}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise UsageError(
+                    f"config key {key!r}: {raw!r} is not one of {', '.join(action.choices)}"
+                )
+            action.default = value
+        args = parser.parse_args(argv)
+    return vars(args)
 
 
 def _sha256_bytes(data: bytes) -> str:
@@ -376,6 +360,10 @@ def cmd_prepare(options: dict) -> int:
 
 # --- pretrain --------------------------------------------------------------------
 
+def _train_config(options: dict, freeze: str | None = None) -> train.TrainConfig:
+    return train.TrainConfig(**{name: options[name] for name in _TRAIN_FLAGS}, freeze=freeze)
+
+
 def _select_chunks(store_dir: Path, mode: str):
     """Chunks a store contributes to the pre-training pool under the given
     corpus mode; returns (store, kept_chunks)."""
@@ -435,11 +423,7 @@ def cmd_pretrain(options: dict) -> int:
     model = M.EncoderModel(
         M.PRESETS[options["preset"]](representation=representation, init_seed=options["seed"])
     )
-    config = train.TrainConfig(
-        batch_size=options["batch_size"], lr=options["lr"],
-        weight_decay=options["weight_decay"], max_epochs=options["max_epochs"],
-        patience=options["patience"], seed=options["seed"],
-    )
+    config = _train_config(options)
     log = train.pretrain(model, train_ids, valid_ids, config, out_dir / "model.ckpt")
     (out_dir / "log.csv").write_text(log.csv_text())
     (out_dir / "summary.txt").write_text(log.summary_text())
@@ -486,11 +470,7 @@ def cmd_finetune(options: dict) -> int:
         freeze = "backbone"
     elif options["freeze_attention"]:
         freeze = "attention"
-    config = train.TrainConfig(
-        batch_size=options["batch_size"], lr=options["lr"],
-        weight_decay=options["weight_decay"], max_epochs=options["max_epochs"],
-        patience=options["patience"], seed=options["seed"], freeze=freeze,
-    )
+    config = _train_config(options, freeze=freeze)
 
     out_dir = Path(options["out"])
     inputs = {"data": store_dir}
@@ -509,7 +489,7 @@ def cmd_finetune(options: dict) -> int:
     table = evaluate.confusion(preds, labels, data.task.class_names)
     split_sizes = {name: int(data.indices(name).size) for name in corpus.SPLIT_NAMES}
     evaluate.write_report(
-        out_dir / "report", data.task, table, split_sizes,
+        out_dir / "report", data.task.name, table, split_sizes,
         extra={"test_accuracy": test_accuracy, "majority_baseline_accuracy": baseline_accuracy},
     )
     (out_dir / "log.csv").write_text(log.csv_text())
@@ -545,7 +525,7 @@ def cmd_eval(options: dict) -> int:
         inputs["config"] = Path(options["config"])
     write_run_config(out_dir, options, inputs)
     evaluate.write_report(
-        out_dir / "report", data.task, table,
+        out_dir / "report", data.task.name, table,
         {options["split"]: int(indices.size)},
     )
     _progress(f"eval {options['split']}: accuracy {table.accuracy():.4f}")
@@ -575,7 +555,6 @@ def cmd_skyline(options: dict) -> int:
         melody_spec = corpus.task("melody")
         truth_map = corpus.read_note_labels(options["note_labels"], melody_spec)
         all_preds, all_truth = [], []
-        metrics = ["task = skyline", f"pieces = {len(scores)}"]
         for score in scores:
             if score.source_id not in truth_map:
                 raise ValueError(f"piece {score.source_id!r}: no note labels")
@@ -589,15 +568,13 @@ def cmd_skyline(options: dict) -> int:
                 )
             all_preds.append(pred)
             all_truth.append(truth)
-        preds = np.concatenate(all_preds)
-        truth = np.concatenate(all_truth)
-        table = evaluate.confusion(preds, truth, evaluate.BINARY_CLASS_NAMES)
-        metrics.append(f"accuracy = {table.accuracy()!r}")
+        table = evaluate.confusion(
+            np.concatenate(all_preds), np.concatenate(all_truth), evaluate.BINARY_CLASS_NAMES
+        )
+        extra = {"pieces": len(scores)}
         for score, p, t in zip(scores, all_preds, all_truth):
-            metrics.append(f"accuracy_{score.source_id} = {evaluate.accuracy(p, t)!r}")
-        (out_dir / "metrics.txt").write_text("\n".join(metrics) + "\n")
-        (out_dir / "confusion_counts.csv").write_text(table.csv_text())
-        (out_dir / "confusion_percent.txt").write_text(table.render())
+            extra[f"accuracy_{score.source_id}"] = evaluate.accuracy(p, t)
+        evaluate.write_report(out_dir, "skyline", table, extra=extra)
         _progress(f"skyline accuracy {table.accuracy():.4f} over {len(scores)} pieces")
     else:
         _progress(f"skyline labels written for {len(scores)} pieces")
@@ -639,10 +616,8 @@ def _pin_allocator() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _pin_allocator()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        options = resolve_options(args)
+        options = resolve_options(argv)
         return _COMMANDS[options["command"]](options)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

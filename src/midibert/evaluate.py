@@ -162,7 +162,7 @@ def merge_melody_binary(labels, task_spec: TaskSpec) -> np.ndarray:
 
 def write_report(
     out_dir,
-    task_spec: TaskSpec,
+    task_name: str,
     table: ConfusionTable,
     split_sizes: dict[str, int] | None = None,
     extra: dict | None = None,
@@ -171,7 +171,7 @@ def write_report(
     returns the paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [f"task = {task_spec.name}"]
+    lines = [f"task = {task_name}"]
     for name, size in (split_sizes or {}).items():
         lines.append(f"{name}_chunks = {size}")
     lines.append(f"accuracy = {table.accuracy()!r}")

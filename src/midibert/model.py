@@ -205,9 +205,6 @@ class EncoderModel:
         else:
             self._sin_table = _sinusoid_table(config.max_len, config.hidden)
 
-    def param_count(self) -> int:
-        return sum(t.data.size for t in self.params.values())
-
     def trainable(self, freeze: str | None = None) -> dict[str, Tensor]:
         if freeze not in FREEZE_MODES:
             raise ValueError(f"unknown freeze mode: {freeze!r}")

@@ -331,16 +331,12 @@ def _parse_track(
             )
 
 
-def check_meter(meta: SmfMeta, *, force_4_4: bool = False) -> None:
-    """Reject anything that is not constant 4/4 unless forced."""
-    if force_4_4:
-        return
+def check_meter(meta: SmfMeta) -> None:
+    """Reject anything that is not constant 4/4."""
     odd = sorted({(n, d) for _, n, d in meta.time_signatures if (n, d) != (4, 4)})
     if odd:
         shown = ", ".join(f"{n}/{d}" for n, d in odd)
-        raise UnsupportedMeterError(
-            f"not in constant 4/4 (found {shown}); pass force_4_4 to reinterpret"
-        )
+        raise UnsupportedMeterError(f"not in constant 4/4 (found {shown})")
 
 
 # --- quantization ----------------------------------------------------------
@@ -452,8 +448,8 @@ def write_smf(score: Score, *, default_velocity: int = 64) -> bytes:
     return bytes(out)
 
 
-def score_from_bytes(data: bytes, *, source_id: str = "", force_4_4: bool = False) -> Score:
+def score_from_bytes(data: bytes, *, source_id: str = "") -> Score:
     """parse + meter check + quantize in one step."""
     raw, meta = parse_smf(data)
-    check_meter(meta, force_4_4=force_4_4)
+    check_meter(meta)
     return quantize(raw, meta.ticks_per_quarter, source_id=source_id)

@@ -15,6 +15,14 @@ from midibert.smf import (
 )
 
 
+def widen(model):
+    """Widen a model's parameters to float64 in place, so its forward and
+    backward run in double precision (finite-difference checks); returns it."""
+    for t in model.params.values():
+        t.data = t.data.astype(np.float64)
+    return model
+
+
 def skyline_oracle(score) -> np.ndarray:
     """Direct transcription of the rule: a note is melody iff its pitch is
     the maximum among notes sounding at its onset and it starts at or after

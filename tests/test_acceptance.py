@@ -27,7 +27,7 @@ from midibert import tokens, train
 from midibert.smf import parse_smf, quantize, write_smf
 from midibert.tokens import decode_cp, decode_remi, encode_cp, encode_remi
 
-from .support import random_grid_score, skyline_oracle
+from .support import random_grid_score, skyline_oracle, widen
 
 
 def check(n: int, ok: bool, detail: str) -> None:
@@ -122,33 +122,29 @@ def test_03_masking_statistics():
 def test_04_desk_model_gradcheck():
     t0 = time.perf_counter()
     worst = {}
-    ad.set_default_dtype(np.float64)
-    try:
-        rng = np.random.default_rng(0)
-        ids = content_remi_ids(rng, 2, 32, (32, 20))
+    rng = np.random.default_rng(0)
+    ids = content_remi_ids(rng, 2, 32, (32, 20))
 
-        m = M.EncoderModel(M.desk_config("remi"))
-        batch = masking.corrupt(ids, tokens.vocab("remi"), seed=4)
-        tensors = [m.params[k] for k in sorted(m.params)]
-        worst["mlm"] = ad.gradcheck(
-            lambda: M.mlm_loss(m, batch, training=False)[0],
-            tensors, eps=1e-4, sample=200, min_grad=1e-5)
+    m = widen(M.EncoderModel(M.desk_config("remi")))
+    batch = masking.corrupt(ids, tokens.vocab("remi"), seed=4)
+    tensors = [m.params[k] for k in sorted(m.params)]
+    worst["mlm"] = ad.gradcheck(
+        lambda: M.mlm_loss(m, batch, training=False)[0],
+        tensors, eps=1e-4, sample=200, min_grad=1e-5)
 
-        m = M.EncoderModel(M.desk_config("remi", head="note", num_classes=3))
-        labels = np.where(ids >= 18, rng.integers(0, 3, ids.shape), corpus.IGNORE_LABEL)
-        tensors = [m.params[k] for k in sorted(m.params)]
-        worst["note"] = ad.gradcheck(
-            lambda: train._class_loss(m, ids, labels, "note", training=False, seed=0)[0],
-            tensors, eps=1e-4, sample=200, min_grad=1e-5)
+    m = widen(M.EncoderModel(M.desk_config("remi", head="note", num_classes=3)))
+    labels = np.where(ids >= 18, rng.integers(0, 3, ids.shape), corpus.IGNORE_LABEL)
+    tensors = [m.params[k] for k in sorted(m.params)]
+    worst["note"] = ad.gradcheck(
+        lambda: train._class_loss(m, ids, labels, "note", training=False, seed=0)[0],
+        tensors, eps=1e-4, sample=200, min_grad=1e-5)
 
-        m = M.EncoderModel(M.desk_config("remi", head="seq", num_classes=4))
-        seq_labels = np.array([1, 3])
-        tensors = [m.params[k] for k in sorted(m.params)]
-        worst["seq"] = ad.gradcheck(
-            lambda: train._class_loss(m, ids, seq_labels, "sequence", training=False, seed=0)[0],
-            tensors, eps=1e-4, sample=200, min_grad=1e-5)
-    finally:
-        ad.set_default_dtype(np.float32)
+    m = widen(M.EncoderModel(M.desk_config("remi", head="seq", num_classes=4)))
+    seq_labels = np.array([1, 3])
+    tensors = [m.params[k] for k in sorted(m.params)]
+    worst["seq"] = ad.gradcheck(
+        lambda: train._class_loss(m, ids, seq_labels, "sequence", training=False, seed=0)[0],
+        tensors, eps=1e-4, sample=200, min_grad=1e-5)
     ok = all(err <= 1e-5 for err in worst.values())
     detail = " ".join(f"{head}={err:.2e}" for head, err in worst.items())
     check(4, ok, f"max relative errors {detail}, {time.perf_counter() - t0:.0f}s")

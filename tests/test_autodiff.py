@@ -10,14 +10,12 @@ import numpy as np
 import pytest
 
 from midibert import autodiff as ad
-from midibert.autodiff import Tensor, backward, gradcheck, tensor
+from midibert.autodiff import Tensor, backward, gradcheck
 
 
-@pytest.fixture(autouse=True)
-def double_precision():
-    ad.set_default_dtype(np.float64)
-    yield
-    ad.set_default_dtype(np.float32)
+def tensor(data, requires_grad: bool = False) -> Tensor:
+    """A float64 leaf: the checks here run in double precision."""
+    return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
 
 
 def params(rng, *shapes):
@@ -426,8 +424,13 @@ class TestBackwardContract:
         backward(loss_of(ad.matmul(x, w)))
         assert x.grad.shape == x.data.shape and w.grad.shape == w.data.shape
 
-    def test_single_vs_double_precision_switch(self):
-        ad.set_default_dtype(np.float32)
-        assert tensor(np.ones(2)).data.dtype == np.float32
-        ad.set_default_dtype(np.float64)
-        assert tensor(np.ones(2)).data.dtype == np.float64
+    def test_precision_follows_the_inputs(self):
+        assert ad.tensor(np.ones(2)).data.dtype == np.float32
+        assert Tensor(np.arange(2)).data.dtype == np.float32
+        for dtype in (np.float32, np.float64):
+            x = Tensor(np.linspace(-1.0, 1.0, 6, dtype=dtype).reshape(2, 3), requires_grad=True)
+            w = Tensor(np.ones((3, 2), dtype), requires_grad=True)
+            loss = ad.mean(ad.gelu(ad.matmul(x, w)))
+            assert loss.data.dtype == dtype
+            backward(loss)
+            assert x.grad.dtype == w.grad.dtype == dtype

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from midibert import cli, corpus
+from midibert import cli, corpus, train
 from midibert import model as M
 
 
@@ -366,6 +366,40 @@ class TestConfigFile:
         cfg.write_text("just some words\n")
         assert run("pretrain", "--data", corpora["pre_store"],
                    "--out", tmp_path / "x", "--config", cfg, "--dry-run") == 1
+
+    @pytest.mark.parametrize("command, entry", [
+        ("pretrain", "corpus = bogus"),
+        ("pretrain", "preset = huge"),
+        ("eval", "split = bogus"),
+    ])
+    def test_value_outside_choices_is_usage_error(
+        self, corpora, finetuned, tmp_path, capsys, command, entry
+    ):
+        cfg = tmp_path / "choice.cfg"
+        cfg.write_text(entry + "\n")
+        out = tmp_path / "never"
+        if command == "pretrain":
+            args = ("pretrain", "--data", corpora["pre_store"], "--dry-run")
+        else:
+            args = ("eval", "--checkpoint", finetuned / "model.ckpt",
+                    "--data", corpora["melody_store"])
+        assert run(*args, "--out", out, "--config", cfg) == 1
+        assert repr(entry.split(" = ")[0]) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_training_defaults_come_from_train(self, corpora, tmp_path):
+        runs = {
+            "pretrain": ("pretrain", "--data", corpora["pre_store"], "--dry-run"),
+            "finetune": ("finetune", "--task", "melody", "--data", corpora["melody_store"],
+                         "--no-pretrain"),
+        }
+        defaults = {"pretrain": train.pretrain_config(), "finetune": train.finetune_config()}
+        for command, args in runs.items():
+            out = tmp_path / command
+            assert run(*args, "--out", out) == 0
+            recorded = (out / "run_config.txt").read_text().splitlines()
+            for name in ("batch_size", "lr", "weight_decay", "max_epochs", "patience", "seed"):
+                assert f"{name} = {getattr(defaults[command], name)}" in recorded
 
 
 class TestRunConfig:

@@ -251,7 +251,7 @@ class TestReport:
         labels = rng.integers(0, 3, size=60)
         table = evaluate.confusion(preds, labels, TASKS["melody"].class_names)
         paths = evaluate.write_report(
-            tmp_path / "melody", TASKS["melody"], table,
+            tmp_path / "melody", "melody", table,
             split_sizes={"test": 60}, extra={"baseline_accuracy": 0.4},
         )
         metrics = paths[0].read_text()
@@ -270,13 +270,13 @@ class TestReport:
         names = TASKS["composer"].class_names
         assert names == ("C", "Y", "H", "E", "J", "S", "M", "W")
         table = evaluate.confusion(np.arange(8), np.arange(8), names)
-        paths = evaluate.write_report(tmp_path / "composer", TASKS["composer"], table)
+        paths = evaluate.write_report(tmp_path / "composer", "composer", table)
         assert "C,1,0,0,0,0,0,0,0" in paths[1].read_text()
 
     def test_emotion_table_shape(self, tmp_path):
         names = TASKS["emotion"].class_names
         assert names == ("HVHA", "HVLA", "LVHA", "LVLA")
         table = evaluate.confusion(np.zeros(4, int), np.arange(4), names)
-        paths = evaluate.write_report(tmp_path / "emotion", TASKS["emotion"], table)
+        paths = evaluate.write_report(tmp_path / "emotion", "emotion", table)
         rows = paths[1].read_text().strip().splitlines()
         assert len(rows) == 5

@@ -14,6 +14,8 @@ from midibert import model as M
 from midibert import tokens
 from midibert.train import AdamW
 
+from .support import widen
+
 
 def content_remi_ids(rng, batch, length, fill):
     """Random single-stream content ids with a pad tail per row."""
@@ -146,17 +148,17 @@ class TestForward:
         ms = M.EncoderModel(M.desk_config("remi", head="seq", num_classes=4))
         assert ms.logits(ids).data.shape == (2, 4)
 
-    def test_dtype_follows_default(self):
+    def test_dtype_follows_parameters(self):
         rng = np.random.default_rng(1)
         ids = content_remi_ids(rng, 1, 16, (12,))
         m = M.EncoderModel(M.desk_config("remi"))
+        assert all(t.data.dtype == np.float32 for t in m.params.values())
         assert m.logits(ids).data.dtype == np.float32
-        ad.set_default_dtype(np.float64)
-        try:
-            m64 = M.EncoderModel(M.desk_config("remi"))
-            assert m64.logits(ids).data.dtype == np.float64
-        finally:
-            ad.set_default_dtype(np.float32)
+        m64 = widen(M.EncoderModel(M.desk_config("remi")))
+        assert m64.logits(ids).data.dtype == np.float64
+        mc = widen(M.EncoderModel(M.desk_config("cp")))
+        idsc = content_cp_ids(rng, 1, 16, (12,))
+        assert all(x.data.dtype == np.float64 for x in mc.logits(idsc))
 
     def test_bad_inputs_rejected(self):
         m = M.EncoderModel(M.desk_config("remi"))
@@ -290,21 +292,17 @@ class TestMlmObjective:
         assert all(np.isfinite(t.grad).all() for t in m.params.values())
 
     def test_full_model_gradcheck_double_precision(self):
-        ad.set_default_dtype(np.float64)
-        try:
-            rng = np.random.default_rng(10)
-            m = M.EncoderModel(M.desk_config("remi"))
-            ids = content_remi_ids(rng, 2, 24, (24, 16))
-            batch = masking.corrupt(ids, tokens.vocab("remi"), seed=4)
-            names = sorted(m.params)
-            tensors = [m.params[n] for n in names]
-            f = lambda: M.mlm_loss(m, batch, training=False)[0]
-            # sampling restricted to finite-difference-resolvable coordinates;
-            # see gradcheck's docstring for the noise-floor argument
-            err = ad.gradcheck(f, tensors, eps=1e-4, sample=120, min_grad=1e-5)
-            assert err <= 1e-5
-        finally:
-            ad.set_default_dtype(np.float32)
+        rng = np.random.default_rng(10)
+        m = widen(M.EncoderModel(M.desk_config("remi")))
+        ids = content_remi_ids(rng, 2, 24, (24, 16))
+        batch = masking.corrupt(ids, tokens.vocab("remi"), seed=4)
+        names = sorted(m.params)
+        tensors = [m.params[n] for n in names]
+        f = lambda: M.mlm_loss(m, batch, training=False)[0]
+        # sampling restricted to finite-difference-resolvable coordinates;
+        # see gradcheck's docstring for the noise-floor argument
+        err = ad.gradcheck(f, tensors, eps=1e-4, sample=120, min_grad=1e-5)
+        assert err <= 1e-5
 
     def test_loss_requires_mlm_head(self):
         rng = np.random.default_rng(11)

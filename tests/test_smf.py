@@ -167,11 +167,6 @@ class TestMeter:
         with pytest.raises(UnsupportedMeterError, match="6/8"):
             smf.check_meter(meta)
 
-    def test_force_4_4_accepts(self):
-        track = bytes((0x00, 0xFF, 0x58, 0x04, 3, 2, 24, 8)) + EOT
-        _, meta = parse_smf(build_file([track]))
-        smf.check_meter(meta, force_4_4=True)
-
     def test_missing_signature_is_4_4(self):
         _, meta = parse_smf(build_file([EOT]))
         smf.check_meter(meta)
