@@ -65,9 +65,15 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     )
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add g into t.grad. A first gradient is copied, since g may be the
+    child's gradient or a view of it, unless the rule made g itself and
+    hands it over (`owned`)."""
     if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+        if owned:
+            t.grad = g
+        else:
+            t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
     else:
         t.grad += g
 
@@ -125,10 +131,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def rule(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+        for t in (a, b):
+            if t.requires_grad:
+                part = _unbroadcast(g, t.data.shape)
+                _accumulate(t, part, owned=part is not g)  # a sum is a fresh array
 
     return _result(out_data, (a, b), rule)
 
@@ -145,16 +151,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def rule(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _result(out_data, (a, b), rule)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     def rule(g):
-        _accumulate(a, g * s)
+        _accumulate(a, g * s, owned=True)
 
     return _result(a.data * s, (a,), rule)
 
@@ -165,10 +171,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def rule(g):
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accumulate(a, _unbroadcast(ga, a.data.shape))
+            _accumulate(a, _unbroadcast(ga, a.data.shape), owned=True)
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accumulate(b, _unbroadcast(gb, b.data.shape))
+            _accumulate(b, _unbroadcast(gb, b.data.shape), owned=True)
 
     return _result(out_data, (a, b), rule)
 
@@ -209,7 +215,7 @@ def mean(a: Tensor) -> Tensor:
     n = a.data.size
 
     def rule(g):
-        _accumulate(a, np.full_like(a.data, float(g) / n))
+        _accumulate(a, np.full_like(a.data, float(g) / n), owned=True)
 
     return _result(np.mean(a.data), (a,), rule)
 
@@ -220,7 +226,7 @@ def relu(a: Tensor) -> Tensor:
     keep = a.data > 0
 
     def rule(g):
-        _accumulate(a, g * keep)
+        _accumulate(a, g * keep, owned=True)
 
     return _result(a.data * keep, (a,), rule)
 
@@ -237,7 +243,7 @@ def gelu(a: Tensor) -> Tensor:
     def rule(g):
         sech2 = 1.0 - t * t
         local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        _accumulate(a, g * local)
+        _accumulate(a, g * local, owned=True)
 
     return _result(0.5 * x * (1.0 + t), (a,), rule)
 
@@ -246,7 +252,7 @@ def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.data)
 
     def rule(g):
-        _accumulate(a, g * (1.0 - t * t))
+        _accumulate(a, g * (1.0 - t * t), owned=True)
 
     return _result(t, (a,), rule)
 
@@ -260,7 +266,7 @@ def softmax(a: Tensor) -> Tensor:
 
     def rule(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(a, y * (g - dot))
+        _accumulate(a, y * (g - dot), owned=True)
 
     return _result(y, (a,), rule)
 
@@ -275,14 +281,14 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
 
     def rule(g):
         if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).reshape(-1, x.shape[-1]).sum(axis=0))
+            _accumulate(gamma, (g * xhat).reshape(-1, x.shape[-1]).sum(axis=0), owned=True)
         if beta.requires_grad:
-            _accumulate(beta, g.reshape(-1, x.shape[-1]).sum(axis=0))
+            _accumulate(beta, g.reshape(-1, x.shape[-1]).sum(axis=0), owned=True)
         if a.requires_grad:
             gx = g * gamma.data
             m1 = gx.mean(axis=-1, keepdims=True)
             m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(a, inv * (gx - m1 - xhat * m2))
+            _accumulate(a, inv * (gx - m1 - xhat * m2), owned=True)
 
     return _result(gamma.data * xhat + beta.data, (a, gamma, beta), rule)
 
@@ -307,7 +313,7 @@ def dropout(a: Tensor, p: float, seed: int, training: bool) -> Tensor:
     keep /= 1.0 - p
 
     def rule(g):
-        _accumulate(a, g * keep)
+        _accumulate(a, g * keep, owned=True)
 
     return _result(a.data * keep, (a,), rule)
 
@@ -323,7 +329,9 @@ def embed(table: Tensor, ids: np.ndarray) -> Tensor:
         flat = ids.reshape(-1)
         one_hot = np.zeros((table.data.shape[0], flat.size), table.data.dtype)
         one_hot[flat, np.arange(flat.size)] = 1.0
-        _accumulate(table, np.matmul(one_hot, g.reshape(flat.size, table.data.shape[-1])))
+        _accumulate(
+            table, np.matmul(one_hot, g.reshape(flat.size, table.data.shape[-1])), owned=True
+        )
 
     return _result(table.data[ids], (table,), rule)
 
@@ -356,12 +364,12 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> T
     def rule(g):
         probs = np.exp(log_probs)
         probs[rows, safe] -= 1.0
-        _accumulate(logits, probs * (float(g) * weights / total)[:, None])
+        _accumulate(logits, probs * (float(g) * weights / total)[:, None], owned=True)
 
     return _result(np.asarray(value), (logits,), rule)
 
 
-# --- attention helper ----------------------------------------------------------
+# --- attention -------------------------------------------------------------------
 
 def _skew(band: np.ndarray, steps: int, offset: int) -> np.ndarray:
     """(..., T, T) view of a C-contiguous (..., T, L) band with
@@ -370,6 +378,56 @@ def _skew(band: np.ndarray, steps: int, offset: int) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(
         band.reshape(-1)[offset:], shape=band.shape[:-1] + (steps,), strides=strides
     )
+
+
+def _table_width(rel_table: Tensor, head_dim: int) -> int:
+    width = rel_table.data.shape[0]
+    if width % 2 == 0 or rel_table.data.shape != (width, head_dim):
+        raise ValueError(f"rel_table must be (2c+1, {head_dim}), got {rel_table.data.shape}")
+    return width
+
+
+class _Band:
+    """The relative term of one (T, T) head, q·r_{j-i} = QR[i, clip(j - i,
+    -c, c) + c], read through a skewed view of the head's (T, 2c+1) product
+    QR = q·rel_tableᵀ. When T-1 > c, the rows are padded to the 2T-1
+    distances a row can see by repeating their first and last columns, in
+    one (T, 2T-1) buffer reused head by head."""
+
+    def __init__(self, steps: int, width: int, dtype):
+        clip = (width - 1) // 2
+        self.steps = steps
+        self.width = width
+        self.pad = max(steps - 1 - clip, 0)  # columns each tail repeats
+        self.offset = clip + self.pad  # band column of distance 0
+        # zeroed: `grad` writes the same cells for every head, the rest stay 0
+        self.buffer = np.zeros((steps, width + 2 * self.pad), dtype) if self.pad else None
+        self.ones = np.ones(self.pad, dtype)
+
+    def add(self, scores: np.ndarray, qr_head: np.ndarray) -> None:
+        """scores (T, T) += the relative term of qr_head (T, 2c+1)."""
+        if not self.pad:
+            scores += _skew(qr_head, self.steps, self.offset)
+            return
+        band, pad, width = self.buffer, self.pad, self.width
+        band[:, :pad] = qr_head[:, :1]
+        band[:, pad : pad + width] = qr_head
+        band[:, pad + width :] = qr_head[:, -1:]
+        scores += _skew(band, self.steps, self.offset)
+
+    def grad(self, g_head: np.ndarray, gqr_head: np.ndarray) -> None:
+        """Write the gradient of QR (T, 2c+1) for the score gradient g_head
+        (T, T): through the skewed view, with the padded tails folded back
+        into columns 0 and 2c. Without padding gqr_head must start zeroed."""
+        if not self.pad:
+            _skew(gqr_head, self.steps, self.offset)[...] = g_head
+            return
+        band, pad, width = self.buffer, self.pad, self.width
+        _skew(band, self.steps, self.offset)[...] = g_head
+        gqr_head[...] = band[:, pad : pad + width]
+        # row sums as matrix-vector products: BLAS beats .sum here
+        gqr_head[:, 0] += np.matmul(band[:, :pad], self.ones)
+        gqr_head[:, -1] += np.matmul(band[:, pad + width :], self.ones)
 
 
 def attention_scores(
@@ -390,74 +448,160 @@ def attention_scores(
     The relative term is never gathered into a (T, T, D) tensor. Following
     the skewing trick of Music Transformer (Huang et al. 2018,
     arXiv:1809.04281), QR = q·rel_tableᵀ is computed once as
-    (B, H, T, 2c+1), and each row is padded by repeating its first and last
-    columns to the 2T-1 distances a row can see (no padding when T-1 <= c),
-    so that q·r_{j-i} = band[i, j - i + T-1] is a strided view added in
-    place into the content scores. Backward writes the gradient through the
-    same view into a zeroed band, folds the padded tails back into columns
-    0 and 2c, and gets the table gradient as one matmul gQRᵀ·q. The padded
-    band is one (T, 2T-1) buffer filled head by head, so the op allocates
-    nothing larger than its (B, H, T, T) scores. There is no
-    scatter: the table's share of the matmuls is O(B·H·T·(2c+1)·D), and the
-    band is elementwise work of the same order as the content scores.
+    (B, H, T, 2c+1) and added head by head through a strided view of a
+    padded band (`_Band`). Backward writes the gradient through the same
+    view into a zeroed band, folds the padded tails back into columns 0 and
+    2c, and gets the table gradient as one matmul gQRᵀ·q. The band is one
+    (T, 2T-1) buffer, so the op allocates nothing larger than its
+    (B, H, T, T) scores. There is no scatter: the table's share of the
+    matmuls is O(B·H·T·(2c+1)·D), and the band is elementwise work of the
+    same order as the content scores.
     """
     d_ = q.data.shape[-1]
     t_ = q.data.shape[-2]
-    width = rel_table.data.shape[0]
+    width = _table_width(rel_table, d_)
     clip = (width - 1) // 2
-    if rel_table.data.shape != (2 * clip + 1, d_):
-        raise ValueError(f"rel_table must be (2c+1, {d_}), got {rel_table.data.shape}")
     distances = np.clip(np.arange(1 - t_, t_), -clip, clip) + clip
     expected = np.lib.stride_tricks.sliding_window_view(distances, t_)[::-1]  # (T, T) view
     if not np.array_equal(rel_index, expected):
         raise ValueError(f"rel_index must be clip(j - i, -{clip}, {clip}) + {clip} over {t_} steps")
     scaling = float(scaling)  # a numpy float64 scalar would upcast float32 arrays
-    pad = max(t_ - 1 - clip, 0)  # columns each tail repeats
-    offset = clip + pad  # band column of distance 0
 
     qr = np.matmul(q.data, rel_table.data.T)  # (B, H, T, 2c+1)
     out_data = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    if pad:
-        # one (T, 2T-1) band reused head by head: a full (B, H, T, 2T-1) band
-        # would be twice the scores, in fresh pages on every call
-        band = np.empty((t_, width + 2 * pad), qr.dtype)
-        for scores, qr_head in zip(out_data.reshape(-1, t_, t_), qr.reshape(-1, t_, width)):
-            band[:, :pad] = qr_head[:, :1]
-            band[:, pad : pad + width] = qr_head
-            band[:, pad + width :] = qr_head[:, -1:]
-            scores += _skew(band, t_, offset)
-    else:
-        out_data += _skew(qr, t_, offset)
+    band = _Band(t_, width, qr.dtype)
+    for scores, qr_head in zip(out_data.reshape(-1, t_, t_), qr.reshape(-1, t_, width)):
+        band.add(scores, qr_head)
     out_data *= scaling
     out_data += key_bias
 
     def rule(g):
         # scaling multiplies the (..., T, D) and (2c+1, D) results, not g
         if q.requires_grad or rel_table.requires_grad:
-            if pad:
-                # head by head through one zeroed band: the skew writes the
-                # same cells for every head, so the rest stays zero
-                gband = np.zeros((t_, width + 2 * pad), g.dtype)
-                gqr = np.empty(g.shape[:-1] + (width,), g.dtype)
-                ones = np.ones(pad, g.dtype)
-                for g_head, gqr_head in zip(g.reshape(-1, t_, t_), gqr.reshape(-1, t_, width)):
-                    _skew(gband, t_, offset)[...] = g_head
-                    gqr_head[...] = gband[:, pad : pad + width]
-                    # row sums as matrix-vector products: BLAS beats .sum here
-                    gqr_head[:, 0] += np.matmul(gband[:, :pad], ones)
-                    gqr_head[:, -1] += np.matmul(gband[:, pad + width :], ones)
-            else:
-                gqr = np.zeros(g.shape[:-1] + (width,), g.dtype)
-                _skew(gqr, t_, offset)[...] = g
+            gqr = np.zeros(g.shape[:-1] + (width,), g.dtype)
+            gband = _Band(t_, width, g.dtype)
+            for g_head, gqr_head in zip(g.reshape(-1, t_, t_), gqr.reshape(-1, t_, width)):
+                gband.grad(g_head, gqr_head)
         if q.requires_grad:
-            _accumulate(q, (np.matmul(g, k.data) + np.matmul(gqr, rel_table.data)) * scaling)
+            gq = (np.matmul(g, k.data) + np.matmul(gqr, rel_table.data)) * scaling
+            _accumulate(q, gq, owned=True)
         if k.requires_grad:
-            _accumulate(k, np.matmul(np.swapaxes(g, -1, -2), q.data) * scaling)
+            _accumulate(k, np.matmul(np.swapaxes(g, -1, -2), q.data) * scaling, owned=True)
         if rel_table.requires_grad:
             g_rel = np.matmul(gqr.reshape(-1, width).T, q.data.reshape(-1, d_))
-            _accumulate(rel_table, g_rel * scaling)
+            _accumulate(rel_table, g_rel * scaling, owned=True)
 
     return _result(out_data, (q, k, rel_table), rule)
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    rel_table: Tensor,
+    key_bias: np.ndarray,
+    scaling: float,
+    p: float,
+    seed: int,
+    training: bool,
+) -> Tensor:
+    """Relative self-attention in one op: the (B, H, T, D) result of
+    matmul(dropout(softmax(attention_scores(q, k, rel_table, ...)), p, seed,
+    training), v), bit-identical to that chain.
+
+    q, k, v are (B, H, T, D) of one dtype; rel_table, key_bias and scaling
+    are as in attention_scores (the distance index is implied); p, seed and
+    training are as in dropout, with the same mask: bools drawn from
+    default_rng([seed]) in C order over (B, H, T, T).
+
+    The op runs one (b, h) at a time through one (T, T) buffer: content
+    scores plus the relative band, scaling, key bias, an in-place softmax,
+    the mask, then the value mix, each in the chain's arithmetic order.
+    When no input needs a gradient it keeps nothing and makes no
+    (B, H, T, T) array. Otherwise it keeps only the probabilities and the
+    bool mask, and backward recomputes the dropped probabilities head by
+    head, following FlashAttention (Dao et al. 2022, arXiv:2205.14135) and
+    gradient checkpointing (Chen et al. 2016, arXiv:1604.06174), untiled.
+    """
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1): {p}")
+    batch, heads, t_, d_ = q.data.shape
+    width = _table_width(rel_table, d_)
+    scaling = float(scaling)  # a numpy float64 scalar would upcast float32 arrays
+    dtype = q.data.dtype
+    graph = any(t.requires_grad for t in (q, k, v, rel_table))
+    drop = training and p > 0.0
+
+    qr = np.matmul(q.data, rel_table.data.T)  # (B, H, T, 2c+1)
+    bias = np.broadcast_to(key_bias, (batch, heads, t_, t_))
+    band = _Band(t_, width, qr.dtype)
+    out = np.empty((batch, heads, t_, d_), dtype)
+    probs = np.empty((batch, heads, t_, t_), dtype) if graph else None
+    keep = np.empty((batch, heads, t_, t_), bool) if graph and drop else None
+    scratch = np.empty((t_, t_), dtype)
+    if drop:
+        rng = np.random.default_rng([seed])
+        uniforms = np.empty((t_, t_))
+        mask = np.empty((t_, t_), bool)
+        scale = np.ones((), dtype) / (1.0 - p)  # rounds as dropout's `keep /= 1.0 - p`
+    for b, h in np.ndindex(batch, heads):
+        y = probs[b, h] if graph else scratch
+        np.matmul(q.data[b, h], k.data[b, h].T, out=y)
+        band.add(y, qr[b, h])
+        y *= scaling
+        y += bias[b, h]
+        y -= y.max(axis=-1, keepdims=True)
+        np.exp(y, out=y)
+        y /= y.sum(axis=-1, keepdims=True)
+        if drop:
+            m = keep[b, h] if graph else mask
+            np.greater_equal(rng.random(out=uniforms), p, out=m)
+            y = np.multiply(y, m, out=scratch)  # in place without a graph
+            y *= scale
+        np.matmul(y, v.data[b, h], out=out[b, h])
+
+    def rule(g):
+        gq = np.empty(q.data.shape, dtype) if q.requires_grad else None
+        gk = np.empty(k.data.shape, dtype) if k.requires_grad else None
+        gv = np.empty(v.data.shape, dtype) if v.requires_grad else None
+        need_qr = q.requires_grad or rel_table.requires_grad
+        gqr = np.zeros((batch, heads, t_, width), dtype) if need_qr else None
+        gband = _Band(t_, width, dtype)
+        dropped = np.empty((t_, t_), dtype)
+        for b, h in np.ndindex(batch, heads):
+            y = probs[b, h]
+            if gv is not None:
+                mixed = y
+                if drop:
+                    mixed = np.multiply(y, keep[b, h], out=dropped)
+                    mixed *= scale
+                np.matmul(mixed.T, g[b, h], out=gv[b, h])
+            gs = np.matmul(g[b, h], v.data[b, h].T)
+            if drop:
+                gs *= keep[b, h]
+                gs *= scale
+            # softmax backward, y * (g - sum(g * y))
+            gs -= (gs * y).sum(axis=-1, keepdims=True)
+            gs *= y
+            if need_qr:
+                gband.grad(gs, gqr[b, h])
+            if gk is not None:
+                np.matmul(gs.T, q.data[b, h], out=gk[b, h])
+                gk[b, h] *= scaling
+            if gq is not None:
+                np.matmul(gs, k.data[b, h], out=gq[b, h])
+                gq[b, h] += np.matmul(gqr[b, h], rel_table.data)
+                gq[b, h] *= scaling
+        for t, grad in ((q, gq), (k, gk), (v, gv)):
+            if grad is not None:
+                _accumulate(t, grad, owned=True)
+        if rel_table.requires_grad:
+            # one matmul over all heads: summing head by head rounds differently
+            g_rel = np.matmul(gqr.reshape(-1, width).T, q.data.reshape(-1, d_))
+            g_rel *= scaling
+            _accumulate(rel_table, g_rel, owned=True)
+
+    return _result(out, (q, k, v, rel_table), rule)
 
 
 # --- verification ----------------------------------------------------------------

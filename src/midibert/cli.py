@@ -54,6 +54,10 @@ def _str_list(value: str) -> list[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
+def _ratios(value: str) -> tuple[int, ...]:
+    return corpus.check_ratios(tuple(int(part) for part in value.split(",")))
+
+
 _TRAIN_FLAGS = ("batch_size", "lr", "weight_decay", "max_epochs", "patience", "seed")
 
 
@@ -95,7 +99,7 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
     flag("representation", choices=("remi", "cp"), default="remi")
     flag("note_labels")
     flag("seq_labels")
-    flag("ratios", default="8,1,1")
+    flag("ratios", type=_ratios, default="8,1,1")
     flag("seed", type=int, default=0)
     flag("strict", action="store_true")
     flag("config")
@@ -156,7 +160,9 @@ def resolve_options(argv: list[str] | None) -> dict:
 
     A config entry is checked like its flag (type, then choices) and becomes
     that flag's default before argv is parsed again. Entries for flags the
-    command line must give are ignored."""
+    command line must give are ignored. The training settings are checked
+    as a whole by building their TrainConfig, so nothing is written for a
+    run that could not start."""
     parser, flags = build_parser()
     args = parser.parse_args(argv)
     if args.config:
@@ -178,7 +184,13 @@ def resolve_options(argv: list[str] | None) -> dict:
                 )
             action.default = value
         args = parser.parse_args(argv)
-    return vars(args)
+    options = vars(args)
+    if args.command in ("pretrain", "finetune"):
+        try:
+            _train_config(options)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+    return options
 
 
 def _sha256_bytes(data: bytes) -> str:
@@ -201,7 +213,10 @@ def write_run_config(out_dir: Path, options: dict, inputs: dict[str, Path]) -> N
     for key in sorted(options):
         if key == "command":
             continue
-        lines.append(f"{key} = {options[key]}")
+        value = options[key]
+        if isinstance(value, tuple):  # ratios: 8,1,1, the form the flag takes
+            value = ",".join(map(str, value))
+        lines.append(f"{key} = {value}")
     for name, path in sorted(inputs.items()):
         lines.append(f"sha256_{name} = {_digest_path(Path(path))}")
     (out_dir / "run_config.txt").write_text("\n".join(lines) + "\n")
@@ -318,15 +333,13 @@ def cmd_prepare(options: dict) -> int:
         options.get("note_labels") or options.get("seq_labels")
     ):
         raise UsageError(f"--task {options['task']} does not take label files")
-    ratios = tuple(int(part) for part in options["ratios"].split(","))
-
     scores, _ = _parse_midi_dir(Path(options["midi"]), options["strict"])
     pieces = _label_pieces(scores, task_spec, options, options["strict"])
     if not pieces:
         raise ValueError("no usable pieces")
 
     chunks = corpus.pieces_to_chunks(pieces, options["representation"])
-    manifest = corpus.make_splits([p.piece_id for p in pieces], ratios, options["seed"])
+    manifest = corpus.make_splits([p.piece_id for p in pieces], options["ratios"], options["seed"])
 
     out_dir = Path(options["out"])
     inputs = {"midi": Path(options["midi"])}
@@ -479,14 +492,11 @@ def cmd_finetune(options: dict) -> int:
             inputs[key] = Path(options[key])
     write_run_config(out_dir, options, inputs)
 
-    log = train.fit_classifier(model, data, config, out_dir / "model.ckpt")
-    _, preds, labels = train.evaluate_classifier(
-        model, data, data.indices("test"), config.batch_size
-    )
-    test_accuracy = evaluate.accuracy(preds, labels)
+    log, test_accuracy = train.finetune(model, data, config, out_dir / "model.ckpt")
+    labels = log.test_labels
     majority = evaluate.majority_baseline(train.task_labels(data)[data.indices("train")])
     baseline_accuracy = evaluate.accuracy(np.full_like(labels, majority), labels)
-    table = evaluate.confusion(preds, labels, data.task.class_names)
+    table = evaluate.confusion(log.test_predictions, labels, data.task.class_names)
     split_sizes = {name: int(data.indices(name).size) for name in corpus.SPLIT_NAMES}
     evaluate.write_report(
         out_dir / "report", data.task.name, table, split_sizes,

@@ -141,10 +141,16 @@ class SplitManifest:
         return (len(self.train), len(self.valid), len(self.test))
 
 
-def make_splits(piece_ids: list[str], ratios: tuple[int, ...], seed: int) -> SplitManifest:
-    """Deterministic piece-level split; leftover pieces land in train."""
+def check_ratios(ratios: tuple[int, ...]) -> tuple[int, ...]:
+    """Split ratios as make_splits takes them: 2 or 3 positive parts."""
     if len(ratios) not in (2, 3) or any(r <= 0 for r in ratios):
         raise ValueError(f"ratios must be 2 or 3 positive parts, got {ratios}")
+    return ratios
+
+
+def make_splits(piece_ids: list[str], ratios: tuple[int, ...], seed: int) -> SplitManifest:
+    """Deterministic piece-level split; leftover pieces land in train."""
+    check_ratios(ratios)
     ids = sorted(piece_ids)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate piece ids")

@@ -13,7 +13,9 @@ payloads in header order.
 
 from __future__ import annotations
 
+import copy
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -198,12 +200,15 @@ class EncoderModel:
                     data = np.ones(shape)
                 params[name] = ad.tensor(data, requires_grad=True)
         self.params = params
-        if config.position_mode == "relative":
-            steps = np.arange(config.max_len)
-            distance = steps[None, :] - steps[:, None]
-            self._rel_index = np.clip(distance, -config.rel_clip, config.rel_clip) + config.rel_clip
-        else:
+        if config.position_mode == "sinusoidal":
             self._sin_table = _sinusoid_table(config.max_len, config.hidden)
+
+    def detached(self) -> "EncoderModel":
+        """The same model over `Tensor(t.data)` per parameter: no op on it
+        records a graph, so a forward keeps no activations for backward."""
+        view = copy.copy(self)
+        view.params = {name: Tensor(t.data) for name, t in self.params.items()}
+        return view
 
     def trainable(self, freeze: str | None = None) -> dict[str, Tensor]:
         if freeze not in FREEZE_MODES:
@@ -267,16 +272,17 @@ class EncoderModel:
             k = heads_of(_dense(x, p[pre + "attn.wk"], p[pre + "attn.bk"]))
             v = heads_of(_dense(x, p[pre + "attn.wv"], p[pre + "attn.bv"]))
             if cfg.position_mode == "relative":
-                scores = ad.attention_scores(
-                    q, k, p[pre + "attn.rel"],
-                    self._rel_index[:length, :length], key_bias, scaling,
+                ctx = ad.attention(
+                    q, k, v, p[pre + "attn.rel"], key_bias, scaling,
+                    drop, _mix(seed, site), training,
                 )
             else:
                 raw = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
                 scores = ad.add_const(ad.scale(raw, scaling), key_bias)
-            probs = ad.dropout(ad.softmax(scores), drop, _mix(seed, site), training)
+                probs = ad.dropout(ad.softmax(scores), drop, _mix(seed, site), training)
+                ctx = ad.matmul(probs, v)
             site += 1
-            ctx = ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3))
+            ctx = ad.transpose(ctx, (0, 2, 1, 3))
             ctx = ad.reshape(ctx, (batch, length, cfg.hidden))
             attn_out = _dense(ctx, p[pre + "attn.wo"], p[pre + "attn.bo"])
             attn_out = ad.dropout(attn_out, drop, _mix(seed, site), training)
@@ -394,13 +400,23 @@ def save_checkpoint(path, model: EncoderModel) -> None:
         ],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for t in model.params.values():
-            fh.write(_little_endian(t.data).tobytes())
+    # written beside the target and renamed over it, so a failed write
+    # leaves the previous checkpoint whole
+    path = os.fspath(path)
+    partial = path + ".partial"
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for t in model.params.values():
+                fh.write(_little_endian(t.data).tobytes())
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
 
 
 def _read_header(fh, path):

@@ -82,6 +82,9 @@ class TrainLog:
     rows: list[EpochRow] = field(default_factory=list)
     best_epoch: int = 0
     stopped_early: bool = False
+    # a fine-tune's test-split predictions and labels, from the best epoch
+    test_predictions: np.ndarray | None = None
+    test_labels: np.ndarray | None = None
 
     def best_row(self) -> EpochRow:
         if not self.rows or not 1 <= self.best_epoch <= len(self.rows):
@@ -193,7 +196,8 @@ def evaluate_mlm(
     model: M.EncoderModel, ids: np.ndarray, batch_size: int, mask_seed: int
 ) -> tuple[float, float]:
     """(loss, cloze accuracy) over a fixed corruption of `ids`, both averaged
-    per selected step."""
+    per selected step; scored on a detached view, so no graph is built."""
+    model = model.detached()
     whole = masking.corrupt(ids, model.vocab, seed=mask_seed)
     total_loss = 0.0
     total_correct = 0.0
@@ -341,7 +345,9 @@ def evaluate_classifier(
     model: M.EncoderModel, data: corpus.TaskData, indices: np.ndarray, batch_size: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """(loss, predictions, labels) over the given chunk indices: the
-    label-weighted mean loss, argmax predictions and the aligned labels."""
+    label-weighted mean loss, argmax predictions and the aligned labels;
+    scored on a detached view, so no graph is built."""
+    model = model.detached()
     level = data.task.level
     labels = task_labels(data)
     total_loss = 0.0
@@ -361,14 +367,16 @@ def evaluate_classifier(
     return total_loss / labeled, np.concatenate(preds), labels[indices]
 
 
-def fit_classifier(
+def finetune(
     model: M.EncoderModel,
     data: corpus.TaskData,
     config: TrainConfig,
     checkpoint_path,
-) -> TrainLog:
-    """Train on the corpus train split and early-stop on valid accuracy;
-    the model is left holding the best epoch's parameters."""
+) -> tuple[TrainLog, float]:
+    """Train on the corpus train split, early-stop on valid accuracy, and
+    score the test split with the best epoch's parameters, which the model
+    is left holding. Returns (log, test accuracy); the log keeps the test
+    predictions and labels."""
     check_task_model(model, data)
     level = data.task.level
     splits = {name: data.indices(name) for name in ("train", "valid", "test")}
@@ -393,16 +401,7 @@ def fit_classifier(
     best_model = M.load_checkpoint(checkpoint_path)
     for name, t in best_model.params.items():
         model.params[name].data = t.data
-    return log
-
-
-def finetune(
-    model: M.EncoderModel,
-    data: corpus.TaskData,
-    config: TrainConfig,
-    checkpoint_path,
-) -> tuple[TrainLog, float]:
-    """`fit_classifier`, then the test accuracy of the best checkpoint."""
-    log = fit_classifier(model, data, config, checkpoint_path)
-    _, preds, labels = evaluate_classifier(model, data, data.indices("test"), config.batch_size)
-    return log, evaluate.accuracy(preds, labels)
+    _, log.test_predictions, log.test_labels = evaluate_classifier(
+        model, data, splits["test"], config.batch_size
+    )
+    return log, evaluate.accuracy(log.test_predictions, log.test_labels)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from midibert import autodiff as ad
 from midibert import evaluate
 from midibert.smf import (
     PITCH_MAX,
@@ -21,6 +22,16 @@ def widen(model):
     for t in model.params.values():
         t.data = t.data.astype(np.float64)
     return model
+
+
+def unfused_attention(q, k, v, rel, key_bias, scaling, p, seed, training):
+    """The chain autodiff.attention replaces, with its signature:
+    attention_scores -> softmax -> dropout -> matmul."""
+    steps = q.data.shape[-2]
+    clip = (rel.data.shape[0] - 1) // 2
+    index = np.clip(np.arange(steps)[None, :] - np.arange(steps)[:, None], -clip, clip) + clip
+    scores = ad.attention_scores(q, k, rel, index, key_bias, scaling)
+    return ad.matmul(ad.dropout(ad.softmax(scores), p, seed, training), v)
 
 
 def skyline_oracle(score) -> np.ndarray:

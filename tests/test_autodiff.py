@@ -12,6 +12,8 @@ import pytest
 from midibert import autodiff as ad
 from midibert.autodiff import Tensor, backward, gradcheck
 
+from .support import unfused_attention
+
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
     """A float64 leaf: the checks here run in double precision."""
@@ -369,6 +371,142 @@ class TestRelativeBand:
             tracemalloc.stop()
         assert forward_peak < 1.5 * scores_bytes
         assert backward_peak - start < 0.5 * scores_bytes
+
+
+def attention_inputs(rng, b, h, t, d, clip, dtype):
+    q, k, v = (
+        Tensor(rng.standard_normal((b, h, t, d)).astype(dtype), requires_grad=True)
+        for _ in range(3)
+    )
+    rel = Tensor(rng.standard_normal((2 * clip + 1, d)).astype(dtype), requires_grad=True)
+    bias = np.zeros((b, 1, 1, t), dtype)
+    bias[-1, ..., t // 2 + 1 :] = -1e9  # a padded row: its tail keys are masked
+    return q, k, v, rel, bias
+
+
+class TestFusedAttention:
+    """ad.attention against the chain attention_scores -> softmax -> dropout
+    -> matmul that it replaces."""
+
+    @staticmethod
+    def run(op, t, p, dtype=np.float32, b=2, h=3, d=4, clip=3):
+        rng = np.random.default_rng([60, t])
+        q, k, v, rel, bias = attention_inputs(rng, b, h, t, d, clip, dtype)
+        weights = Tensor(rng.standard_normal((b, h, t, d)).astype(dtype))
+        out = op(q, k, v, rel, bias, 1 / np.sqrt(d), p, 7, True)
+        backward(ad.mean(ad.mul(out, weights)))
+        return out.data, q.grad, k.grad, v.grad, rel.grad
+
+    @pytest.mark.parametrize("t", [1, 3, 4, 5, 9])  # 1, c, c+1, c+2, 3c at c = 3
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.15])  # 1/0.85 rounds apart in float32 and 64
+    def test_float32_bit_identical_to_the_chain(self, t, p):
+        fused = self.run(ad.attention, t, p)
+        chain = self.run(unfused_attention, t, p)
+        for got, want in zip(fused, chain):
+            assert got.dtype == np.float32
+            assert np.array_equal(got, want)
+
+    def test_rel_table_gradient_at_model_scale(self):
+        # one gQRᵀ·q matmul over every head; a per-head sum rounds differently
+        args = dict(b=2, h=4, d=32, clip=64)
+        fused = self.run(ad.attention, 200, 0.1, **args)
+        chain = self.run(unfused_attention, 200, 0.1, **args)
+        for got, want in zip(fused, chain):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_float64_gradcheck_and_chain(self, p):
+        rng = np.random.default_rng(61)
+        q, k, v, rel, bias = attention_inputs(rng, 2, 2, 7, 4, 3, np.float64)
+        weights = tensor(rng.standard_normal((2, 2, 7, 4)))
+
+        def f(op):
+            out = op(q, k, v, rel, bias, 0.5, p, 3, True)
+            return ad.mean(ad.mul(out, weights))
+
+        assert gradcheck(lambda: f(ad.attention), [q, k, v, rel], sample=300) <= 1e-6
+        fused = [t.grad for t in (q, k, v, rel)]  # gradcheck's own backward
+        for t in (q, k, v, rel):
+            t.grad = None
+        backward(f(unfused_attention))
+        for got, t in zip(fused, (q, k, v, rel)):
+            assert got.dtype == np.float64
+            assert np.allclose(got, t.grad, rtol=1e-12, atol=1e-15)
+
+    def test_inference_makes_no_score_sized_array(self):
+        rng = np.random.default_rng(62)
+        b, h, t, d, clip = 8, 4, 512, 32, 64
+        q, k, v, rel = (
+            Tensor(rng.standard_normal(s).astype(np.float32))
+            for s in ((b, h, t, d), (b, h, t, d), (b, h, t, d), (2 * clip + 1, d))
+        )
+        bias = np.zeros((b, 1, 1, t), np.float32)
+        scores_bytes = b * h * t * t * 4  # one float32 (B, H, T, T) array, 32 MiB
+        for training in (False, True):
+            tracemalloc.start()
+            try:
+                out = ad.attention(q, k, v, rel, bias, 0.125, 0.1, 4, training)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert out._backward is None and not out.requires_grad
+            assert peak < scores_bytes
+
+    def test_graph_keeps_only_probabilities_and_mask(self):
+        rng = np.random.default_rng(63)
+        b, h, t, d, clip = 2, 2, 256, 8, 16
+        q, k, v, rel, bias = attention_inputs(rng, b, h, t, d, clip, np.float32)
+        scores_bytes = b * h * t * t * 4
+        tracemalloc.start()
+        try:
+            out = ad.attention(q, k, v, rel, bias, 0.25, 0.1, 5, True)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # float32 probabilities plus a bool mask: 1.25 score arrays, not 4
+        assert 1.25 * scores_bytes <= kept < 1.3 * scores_bytes
+        assert out.requires_grad
+
+    def test_without_a_graph_matches_the_graph(self):
+        rng = np.random.default_rng(64)
+        q, k, v, rel, bias = attention_inputs(rng, 2, 2, 9, 4, 3, np.float32)
+        with_graph = ad.attention(q, k, v, rel, bias, 0.5, 0.2, 6, True).data
+        plain = [Tensor(t.data) for t in (q, k, v, rel)]
+        without = ad.attention(*plain, bias, 0.5, 0.2, 6, True).data
+        assert np.array_equal(with_graph, without)
+
+    def test_eval_mode_and_bad_rate(self):
+        rng = np.random.default_rng(65)
+        q, k, v, rel, bias = attention_inputs(rng, 1, 2, 6, 4, 2, np.float64)
+        for p in (0.0, 0.5):  # no mask outside training
+            got = ad.attention(q, k, v, rel, bias, 0.5, p, 1, False).data
+            want = unfused_attention(q, k, v, rel, bias, 0.5, 0.0, 1, False).data
+            assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="dropout rate"):
+            ad.attention(q, k, v, rel, bias, 0.5, 1.0, 1, True)
+        with pytest.raises(ValueError, match="rel_table"):
+            ad.attention(q, k, v, tensor(np.zeros((4, 4))), bias, 0.5, 0.0, 1, True)
+
+
+class TestOwnedGradients:
+    def test_no_grad_shares_memory_with_another_or_an_activation(self):
+        rng = np.random.default_rng(66)
+        a, b, w = params(rng, (3, 4), (3, 4), (4, 4))
+        row = tensor(rng.standard_normal(4), requires_grad=True)
+        # pass-through rules (add, add_const, reshape, transpose, concat) and
+        # an add whose broadcast operand is summed
+        x = ad.add(ad.add(a, b), row)
+        y = ad.transpose(ad.reshape(ad.add_const(x, 1.0), (4, 3)), (1, 0))
+        z = ad.concat([y, ad.matmul(a, w)], axis=0)
+        loss = loss_of(ad.gelu(ad.add(z, z)))
+        activations = [t.data for t in (x, y, z, loss)]
+        backward(loss)
+        leaves = [a, b, w, row]
+        arrays = [t.grad for t in leaves] + [t.data for t in leaves] + activations
+        for i, grad in enumerate(t.grad for t in leaves):
+            for j, other in enumerate(arrays):
+                if j != i:
+                    assert not np.shares_memory(grad, other), (i, j)
 
 
 class TestBackwardContract:

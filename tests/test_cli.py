@@ -402,6 +402,55 @@ class TestConfigFile:
                 assert f"{name} = {getattr(defaults[command], name)}" in recorded
 
 
+class TestValuesTheProgramRejects:
+    """Values argparse accepts but the program cannot run with are usage
+    errors (exit 1), from flags and config files alike, before any output."""
+
+    @pytest.mark.parametrize("ratios", ["a,b,c", "8", "1,0,1", "1,1,1,1", "8,-1,1"])
+    def test_bad_ratios(self, corpora, tmp_path, capsys, ratios):
+        out = tmp_path / "never"
+        args = ("prepare", "--midi", corpora["melody_midi"], "--task", "melody",
+                "--note-labels", corpora["melody_midi"] / "note_labels.csv", "--out", out)
+        assert run(*args, "--ratios", ratios) == 1
+        cfg = tmp_path / "ratios.cfg"
+        cfg.write_text(f"ratios = {ratios}\n")
+        assert run(*args, "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.count("usage error") == 2 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_ratios_recorded_as_given(self, corpora, tmp_path):
+        out = tmp_path / "store"
+        assert run("prepare", "--midi", corpora["melody_midi"], "--task", "melody",
+                   "--note-labels", corpora["melody_midi"] / "note_labels.csv",
+                   "--out", out, "--ratios", "3,1,1") == 0
+        assert "ratios = 3,1,1" in (out / "run_config.txt").read_text().splitlines()
+
+    @pytest.mark.parametrize("entry", ["patience = 0", "batch_size = 0", "lr = -1",
+                                       "weight_decay = -0.5", "seed = -3",
+                                       "max_epochs = 2"])  # patience 30 > max_epochs
+    def test_bad_training_settings(self, corpora, tmp_path, capsys, entry):
+        key, value = entry.split(" = ")
+        runs = {
+            "pretrain": ("pretrain", "--data", corpora["pre_store"], "--dry-run"),
+            "finetune": ("finetune", "--task", "melody", "--data", corpora["melody_store"],
+                         "--no-pretrain"),
+        }
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(entry + "\n")
+        for command, args in runs.items():
+            if command == "finetune" and key == "max_epochs":
+                value = "1"  # finetune's patience is 3
+            out = tmp_path / f"{command}-never"
+            flag = "--" + key.replace("_", "-")
+            assert run(*args, "--out", out, flag, value) == 1, (command, entry)
+            cfg.write_text(f"{key} = {value}\n")
+            assert run(*args, "--out", out, "--config", cfg) == 1, (command, entry)
+            err = capsys.readouterr().err
+            assert err.count("usage error") == 2 and "Traceback" not in err
+            assert not out.exists()
+
+
 class TestRunConfig:
     def test_digests_and_settings_recorded(self, corpora, tmp_path):
         out = tmp_path / "rc"

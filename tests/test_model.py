@@ -14,7 +14,7 @@ from midibert import model as M
 from midibert import tokens
 from midibert.train import AdamW
 
-from .support import widen
+from .support import unfused_attention, widen
 
 
 def content_remi_ids(rng, batch, length, fill):
@@ -345,6 +345,59 @@ class TestMlmObjective:
         assert M.cloze_accuracy(logits, batch) == 0.0
 
 
+class TestGraphFreeForward:
+    @pytest.mark.parametrize("representation", ["remi", "cp"])
+    def test_detached_forward_is_bit_identical_and_builds_no_graph(self, representation):
+        rng = np.random.default_rng(31)
+        m = M.EncoderModel(M.desk_config(representation, head="note", num_classes=3))
+        make = content_remi_ids if representation == "remi" else content_cp_ids
+        ids = make(rng, 3, 40, (40, 25, 9))
+        live = m.logits(ids)
+        view = m.detached()
+        out = view.logits(ids)
+        assert np.array_equal(out.data, live.data)
+        assert out._backward is None and not out.requires_grad
+        assert live._backward is not None  # the model itself still records
+        for name, t in m.params.items():
+            assert view.params[name].data is t.data  # a view, not a copy
+            assert t.requires_grad and t.grad is None
+
+    def test_training_forward_matches_the_unfused_chain(self, monkeypatch):
+        # the model's fused attention against attention_scores -> softmax ->
+        # dropout -> matmul, with dropout on, in float32
+        rng = np.random.default_rng(32)
+        m = M.EncoderModel(M.desk_config("remi"))
+        ids = content_remi_ids(rng, 2, 70, (70, 40))
+        batch = masking.corrupt(ids, tokens.vocab("remi"), seed=5)
+
+        def grads():
+            for t in m.params.values():
+                t.grad = None
+            loss, logits = M.mlm_loss(m, batch, training=True, seed=9)
+            ad.backward(loss)
+            return logits.data, {n: t.grad for n, t in m.params.items()}
+
+        fused_logits, fused = grads()
+        monkeypatch.setattr(ad, "attention", unfused_attention)
+        chain_logits, unfused = grads()
+        assert np.array_equal(fused_logits, chain_logits)
+        for name in fused:
+            assert np.array_equal(fused[name], unfused[name]), name
+
+    def test_backward_leaves_no_shared_gradient_arrays(self):
+        rng = np.random.default_rng(33)
+        m = M.EncoderModel(M.desk_config("cp"))
+        ids = content_cp_ids(rng, 2, 30, (30, 20))
+        batch = masking.corrupt(ids, tokens.vocab("cp"), seed=2)
+        loss, logits = M.mlm_loss(m, batch, training=True, seed=3)
+        ad.backward(loss)
+        grads = [t.grad for t in m.params.values()]
+        others = [t.data for t in m.params.values()] + [x.data for x in logits]
+        for i, g in enumerate(grads):
+            assert not any(np.shares_memory(g, o) for j, o in enumerate(grads) if j != i)
+            assert not any(np.shares_memory(g, o) for o in others)
+
+
 class TestCheckpoints:
     def test_round_trip_bitwise(self, tmp_path):
         m = M.EncoderModel(M.desk_config("cp", init_seed=3))
@@ -356,6 +409,24 @@ class TestCheckpoints:
         for name in m.params:
             a, b = m.params[name].data, again.params[name].data
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, M.EncoderModel(M.desk_config("remi", init_seed=1)))
+        before = path.read_bytes()
+        calls = []
+
+        def failing(arr):
+            calls.append(1)
+            if len(calls) == 5:
+                raise OSError("disk full")
+            return np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+
+        monkeypatch.setattr(M, "_little_endian", failing)
+        with pytest.raises(OSError, match="disk full"):
+            M.save_checkpoint(path, M.EncoderModel(M.desk_config("remi", init_seed=2)))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
     def test_file_magic(self, tmp_path):
         path = tmp_path / "model.mbpt"

@@ -9,6 +9,7 @@ import pytest
 from midibert import autodiff as ad
 from midibert import corpus
 from midibert import evaluate
+from midibert import masking
 from midibert import model as M
 from midibert import train
 from midibert.autodiff import tensor
@@ -426,3 +427,70 @@ class TestFinetune:
         m = M.EncoderModel(tiny_config(head="note", num_classes=3))
         with pytest.raises(ValueError, match="test"):
             train.finetune(m, data, train.finetune_config(batch_size=4), tmp_path / "c.ckpt")
+
+    def test_log_keeps_the_test_predictions(self, tmp_path):
+        rng = np.random.default_rng(13)
+        data = note_task_data(rng, 8)
+        cfg = train.finetune_config(batch_size=4, lr=1e-3, max_epochs=2, patience=2, seed=2)
+        m = M.EncoderModel(tiny_config(head="note", num_classes=3))
+        log, test_acc = train.finetune(m, data, cfg, tmp_path / "c.ckpt")
+        _, preds, labels = train.evaluate_classifier(m, data, data.indices("test"), 4)
+        assert np.array_equal(log.test_predictions, preds)
+        assert np.array_equal(log.test_labels, labels)
+        assert evaluate.accuracy(preds, labels) == test_acc
+
+
+class TestGraphFreeEvaluation:
+    """Scoring runs on a detached view of the parameters: the same numbers as
+    a forward that records a graph, but no op records one."""
+
+    @staticmethod
+    def recording_logits(monkeypatch):
+        outputs = []
+        logits = M.EncoderModel.logits
+
+        def recording(self, ids, *, training=False, seed=0):
+            out = logits(self, ids, training=training, seed=seed)
+            outputs.extend(out if isinstance(out, list) else [out])
+            return out
+
+        monkeypatch.setattr(M.EncoderModel, "logits", recording)
+        return outputs
+
+    @pytest.mark.parametrize("level", ["note", "sequence"])
+    def test_evaluate_classifier(self, level, monkeypatch):
+        rng = np.random.default_rng(14)
+        data = (note_task_data if level == "note" else seq_task_data)(rng, 10)
+        head, classes = ("note", 3) if level == "note" else ("seq", 4)
+        m = M.EncoderModel(tiny_config(head=head, num_classes=classes))
+        indices = np.arange(10)
+        labels = train.task_labels(data)
+        want_loss, want_logits = train._class_loss(
+            m, data.ids[indices], labels[indices], level, training=False, seed=0
+        )
+        assert want_loss._backward is not None  # the live model records a graph
+        outputs = self.recording_logits(monkeypatch)
+        loss, preds, truth = train.evaluate_classifier(m, data, indices, batch_size=10)
+        assert loss == float(want_loss.data)
+        assert np.array_equal(preds, np.argmax(want_logits.data, axis=-1))
+        assert np.array_equal(truth, labels[indices])
+        assert outputs and all(out._backward is None for out in outputs)
+        assert all(t.grad is None and t.requires_grad for t in m.params.values())
+
+    @pytest.mark.parametrize("representation", ["remi", "cp"])
+    def test_evaluate_mlm(self, representation, monkeypatch):
+        rng = np.random.default_rng(15)
+        m = M.EncoderModel(tiny_config(representation=representation))
+        if representation == "remi":
+            ids = varied_ids(rng, 5)
+        else:
+            ids = np.stack([np.stack([row % 2 + 1, row % 16 + 1, row % 86 + 1, row % 64 + 1], -1)
+                            for row in varied_ids(rng, 5)])
+        whole = masking.corrupt(ids, m.vocab, seed=4)
+        want_loss, want_logits = M.mlm_loss(m, whole, training=False)
+        outputs = self.recording_logits(monkeypatch)
+        loss, accuracy = train.evaluate_mlm(m, ids, batch_size=5, mask_seed=4)
+        assert loss == float(want_loss.data)
+        assert accuracy == M.cloze_accuracy(want_logits, whole)
+        assert outputs and all(out._backward is None for out in outputs)
+        assert all(t.grad is None and t.requires_grad for t in m.params.values())
