@@ -58,6 +58,24 @@ def _ratios(value: str) -> tuple[int, ...]:
     return corpus.check_ratios(tuple(int(part) for part in value.split(",")))
 
 
+def _int_at_least(value: str, low: int) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        number = None
+    if number is None or number < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value!r}")
+    return number
+
+
+def _count(value: str) -> int:
+    return _int_at_least(value, 1)
+
+
+def _seed(value: str) -> int:
+    return _int_at_least(value, 0)
+
+
 _TRAIN_FLAGS = ("batch_size", "lr", "weight_decay", "max_epochs", "patience", "seed")
 
 
@@ -85,11 +103,11 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
     flag = command("synth", "generate a synthetic labeled SMF corpus")
     flag("task", choices=sorted(corpus.TASKS), required=True)
     flag("out", required=True)
-    flag("pieces", type=int, default=20)
-    flag("bars", type=int, default=16)
-    flag("notes_per_bar", type=int, default=8)
+    flag("pieces", type=_count, default=20)
+    flag("bars", type=_count, default=16)
+    flag("notes_per_bar", type=_count, default=8)
     flag("style", choices=("default", "pop", "ostinato"), default="default")
-    flag("seed", type=int, default=0)
+    flag("seed", type=_seed, default=0)
     flag("config")
 
     flag = command("prepare", "SMF directory + labels -> chunk store")
@@ -100,7 +118,7 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
     flag("note_labels")
     flag("seq_labels")
     flag("ratios", type=_ratios, default="8,1,1")
-    flag("seed", type=int, default=0)
+    flag("seed", type=_seed, default=0)
     flag("strict", action="store_true")
     flag("config")
 
@@ -176,7 +194,7 @@ def resolve_options(argv: list[str] | None) -> dict:
             convert = action.type or (_bool if action.nargs == 0 else str)
             try:
                 value = convert(raw)
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from exc
             if action.choices is not None and value not in action.choices:
                 raise UsageError(

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from .smf import (
     Score,
     note_sort_key,
 )
-from .tokens import ChunkedSequence, chunk, encode_cp, encode_remi
+from .tokens import CHUNK_LEN, ChunkedSequence, chunk, encode_cp, encode_remi, vocab
 
 IGNORE_LABEL = -1
 STORE_SCHEMA = "chunks-v1"
@@ -372,6 +374,47 @@ def _synth_pretrain(spec: SynthSpec, index: int, rng: np.random.Generator) -> La
 
 
 # --- chunk store -----------------------------------------------------------------
+#
+# chunks.jsonl is a JSON header line, then one line per chunk spelled exactly
+# as json.dumps spells {"piece_id", "chunk_index", "ids", "note_positions"}
+# with default separators. That layout is the contract: the writer formats
+# ids from lookup tables and the reader checks each line against it, so
+# neither builds a JSON object tree per chunk. Any other spelling is
+# rejected; stores are derived, and `prepare` rebuilds them.
+
+_RECORD = '{"piece_id": %s, "chunk_index": %d, "ids": [%s], "note_positions": [%s]}\n'
+# a non-negative integer as json.dumps spells it, short enough for int64
+_NUMBER = rb"(?:0|[1-9][0-9]{0,17})"
+_RECORD_HEAD = re.compile(
+    rb'\{"piece_id": ("(?:[^"\\]|\\.)*"), "chunk_index": (%b), "ids": \[' % _NUMBER
+)
+_IDS_END = b'], "note_positions": ['
+_RECORD_TAIL = re.compile(
+    rb'\], "note_positions": \[((?:\[%b, %b\](?:, \[%b, %b\])*)?)\]\}\n' % ((_NUMBER,) * 4)
+)
+_CP_PACK = np.array([1 << 48, 1 << 32, 1 << 16, 1], dtype=np.int64)
+
+
+def _id_bounds(representation: str) -> np.ndarray:
+    """Exclusive id bounds: the REMI vocabulary size (0-d) or the four CP
+    field sizes; broadcasting them over a chunk's ids checks every step."""
+    voc = vocab(representation)
+    return np.array(voc.field_sizes if representation == "cp" else len(voc), dtype=np.int64)
+
+
+def _outside(ids: np.ndarray, bounds: np.ndarray) -> bool:
+    return bool(((ids < 0) | (ids >= bounds)).any())
+
+
+class _CpStepText(dict):
+    """'[a, b, c, d]' for one CP step, keyed by its four ids packed 16 bits each."""
+
+    def __missing__(self, key: int) -> str:
+        text = self[key] = "[%d, %d, %d, %d]" % (
+            key >> 48, key >> 32 & 0xFFFF, key >> 16 & 0xFFFF, key & 0xFFFF
+        )
+        return text
+
 
 def save_store(
     path: str | Path,
@@ -382,17 +425,29 @@ def save_store(
 ) -> None:
     """Line-delimited records behind a header line that pins the schema."""
     task(task_name)
+    bounds = _id_bounds(representation)
+    shape = (CHUNK_LEN, *bounds.shape)
+    if bounds.ndim:  # CP: one text per distinct step, made on first use
+        step_text, pack = _CpStepText().__getitem__, _CP_PACK
+    else:
+        step_text, pack = [str(i) for i in range(int(bounds))].__getitem__, None
     header = {"schema": STORE_SCHEMA, "representation": representation, "task": task_name}
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(header) + "\n")
         for c in chunks:
-            record = {
-                "piece_id": c.piece_id,
-                "chunk_index": c.chunk_index,
-                "ids": c.ids.tolist(),
-                "note_positions": [list(p) for p in c.note_positions],
-            }
-            handle.write(json.dumps(record) + "\n")
+            ids = c.ids
+            if ids.shape != shape or ids.dtype.kind not in "iu" or _outside(ids, bounds):
+                raise ValueError(
+                    f"piece {c.piece_id!r} chunk {c.chunk_index}: ids are not "
+                    f"{shape} {representation} vocabulary ids"
+                )
+            steps = (ids if pack is None else ids.astype(np.int64, copy=False) @ pack).tolist()
+            handle.write(_RECORD % (
+                json.dumps(c.piece_id),
+                c.chunk_index,
+                ", ".join(map(step_text, steps)),
+                ", ".join(["[%d, %d]" % p for p in c.note_positions]),
+            ))
 
 
 @dataclass(frozen=True)
@@ -412,32 +467,80 @@ class Store:
 
 
 def load_store(path: str | Path) -> Store:
-    with open(path, encoding="utf-8") as handle:
-        header_line = handle.readline()
+    """Read a store in save_store's exact layout. Every chunk's ids are a
+    row of one (N, 512) or (N, 512, 4) int64 block, filled line by line,
+    so the file is never held whole. A record in any other spelling, or
+    with an id outside the vocabulary, is a ValueError naming the file and
+    line."""
+    with open(path, "rb", buffering=1 << 16) as handle:
+        newlines, last = 0, b"\n"
+        for part in iter(lambda: handle.read(1 << 16), b""):
+            newlines, last = newlines + part.count(b"\n"), part[-1:]
+        records = newlines + (last != b"\n") - 1  # a last line without its newline counts
+        handle.seek(0)
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
+            header = json.loads(handle.readline())
+        except ValueError as exc:
             raise ValueError(f"{path}: not a chunk store") from exc
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: not a chunk store")
         if header.get("schema") != STORE_SCHEMA:
-            raise ValueError(
-                f"{path}: schema {header.get('schema')!r} != {STORE_SCHEMA!r}"
-            )
+            raise ValueError(f"{path}: schema {header.get('schema')!r} != {STORE_SCHEMA!r}")
+        representation = header.get("representation")
+        if representation not in ("remi", "cp"):
+            raise ValueError(f"{path}: unknown representation {representation!r}")
+        bounds = _id_bounds(representation)
+        step = b"[" + b", " * (bounds.size - 1) + b"]" if bounds.ndim else b""
+        digits = np.array([len(str(i)) for i in range(bounds.max())])
+        skeleton = b", ".join([step] * CHUNK_LEN)
+        block = np.empty((records, CHUNK_LEN, *bounds.shape), dtype=np.int64)
         chunks = []
-        for line in handle:
-            record = json.loads(line)
-            chunks.append(
-                ChunkedSequence(
-                    piece_id=record["piece_id"],
-                    chunk_index=record["chunk_index"],
-                    ids=np.asarray(record["ids"], dtype=np.int64),
-                    note_positions=tuple(tuple(p) for p in record["note_positions"]),
-                )
-            )
-    return Store(
-        representation=header["representation"],
-        task_name=header["task"],
-        chunks=tuple(chunks),
-    )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # a partial np.fromstring parse
+            for row, line in enumerate(handle):
+                try:
+                    piece_id, chunk_index, positions = _read_record(
+                        line, block[row], skeleton, bounds, digits
+                    )
+                except (ValueError, DeprecationWarning) as exc:
+                    raise ValueError(f"{path}: line {row + 2}: {exc}") from exc
+                chunks.append(ChunkedSequence(piece_id, chunk_index, block[row], positions))
+    return Store(representation=representation, task_name=header["task"], chunks=tuple(chunks))
+
+
+def _read_record(
+    line: bytes, out: np.ndarray, skeleton: bytes, bounds: np.ndarray, digits: np.ndarray
+) -> tuple[str, int, tuple[tuple[int, int], ...]]:
+    """Check one record line against save_store's layout, parse its ids into
+    `out` and return (piece_id, chunk_index, note_positions)."""
+    head = _RECORD_HEAD.match(line)
+    end = line.rfind(_IDS_END, head.end()) if head else -1
+    tail = _RECORD_TAIL.fullmatch(line, end) if end >= 0 else None
+    if tail is None:
+        raise ValueError("not a chunk record in the store layout")
+    piece_id = json.loads(head[1])
+    if json.dumps(piece_id).encode() != head[1]:
+        raise ValueError("piece_id is not spelled as the store writes it")
+    text = line[head.end() : end]
+    flat = text.translate(None, b"[]")
+    digit = np.frombuffer(flat, dtype=np.uint8) >= ord("0")
+    # the non-digits must be exactly the separators of 512 steps and every
+    # id must have a digit; then the ids parse to exactly out.size numbers
+    if (
+        text.translate(None, b"0123456789") != skeleton
+        or np.count_nonzero(digit[1:] > digit[:-1]) + digit[0] != out.size
+    ):
+        raise ValueError(f"ids are not {CHUNK_LEN} steps of {bounds.size} plain integers")
+    out[...] = np.fromstring(flat, dtype=np.int64, sep=",").reshape(out.shape)
+    if _outside(out, bounds):
+        raise ValueError("id outside the vocabulary")
+    if np.count_nonzero(digit) != digits[out].sum():  # a leading zero
+        raise ValueError("ids are not spelled as the store writes them")
+    numbers = np.fromstring(tail[1].translate(None, b"[]"), dtype=np.int64, sep=",").tolist()
+    steps = numbers[::2]
+    if steps and max(steps) >= CHUNK_LEN:
+        raise ValueError(f"note position outside the {CHUNK_LEN} steps")
+    return piece_id, int(head[2]), tuple(zip(steps, numbers[1::2]))
 
 
 def pieces_to_chunks(pieces: list[LabeledPiece], representation: str) -> list[ChunkedSequence]:

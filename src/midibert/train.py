@@ -10,6 +10,7 @@ logs carry no timing, so identical seeds produce byte-identical log files.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -41,10 +42,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be positive")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive: {self.lr}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be non-negative: {self.weight_decay}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite: {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be non-negative and finite: {self.weight_decay}")
         if not 1 <= self.patience <= self.max_epochs:
             raise ValueError(f"patience must be in 1..max_epochs: {self.patience}")
         if self.seed < 0:
@@ -237,10 +238,13 @@ def _fit(model, config, checkpoint_path, rows, batch_loss, validate, monitor) ->
             if loss is None:
                 continue
             if not np.isfinite(loss.data):
-                raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
+                raise FloatingPointError(f"non-finite training loss at epoch {epoch}, batch {bi}")
             opt.zero_grad()
             ad.backward(loss)
-            opt.step()
+            try:
+                opt.step()
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{exc} at epoch {epoch}, batch {bi}") from None
             batch_losses.append(float(loss.data))
         if not batch_losses:
             raise ValueError("no usable training batches (nothing was selected for masking)")

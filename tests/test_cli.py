@@ -199,6 +199,36 @@ class TestPretrain:
                    "--out", tmp_path / "o") == 4  # open() fails before parsing
         capsys.readouterr()
 
+    def test_nonfinite_gradient_is_numeric_error(self, corpora, tmp_path, capsys, monkeypatch):
+        apply_freeze, backward, trainable = train.apply_freeze, train.ad.backward, {}
+
+        def capture(model, freeze):
+            trainable.update(apply_freeze(model, freeze))
+            return trainable
+
+        def poisoned(loss):
+            backward(loss)
+            trainable["head.mlm.b"].grad[0] = np.nan
+
+        monkeypatch.setattr(train, "apply_freeze", capture)
+        monkeypatch.setattr(train.ad, "backward", poisoned)
+        assert run("pretrain", "--data", corpora["pre_store"], "--out", tmp_path / "nan",
+                   "--max-epochs", 1, "--patience", 1, "--batch-size", 4) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric error: non-finite gradient in head.mlm.b at epoch 1, batch 0\n"
+
+    def test_out_of_vocabulary_id_is_data_error(self, corpora, tmp_path, capsys):
+        store = tmp_path / "edited"
+        store.mkdir()
+        head, first, *rest = (corpora["pre_store"] / "chunks.jsonl").read_text().splitlines(True)
+        assert '"ids": [1, ' in first
+        edited = first.replace('"ids": [1, ', '"ids": [99999, ')
+        (store / "chunks.jsonl").write_text("".join([head, edited, *rest]))
+        assert run("pretrain", "--data", store, "--out", tmp_path / "never", "--dry-run") == 2
+        err = capsys.readouterr().err
+        assert "chunks.jsonl: line 2: id outside the vocabulary" in err and "Traceback" not in err
+        assert not (tmp_path / "never").exists()
+
     def test_mixed_representations_rejected(self, corpora, tmp_path):
         cp_store = make_melody_store(
             corpora["root"], corpora["melody_midi"], "cp_store", representation="cp"
@@ -449,6 +479,77 @@ class TestValuesTheProgramRejects:
             err = capsys.readouterr().err
             assert err.count("usage error") == 2 and "Traceback" not in err
             assert not out.exists()
+
+
+# Out-of-domain values for each parser type a flag uses; the training ints
+# and floats are bounded by TrainConfig, which option resolution builds.
+OUT_OF_DOMAIN = {
+    cli._count: ("0", "-1", "x"),
+    cli._seed: ("-1", "x"),
+    cli._ratios: ("x", "1,0,1", "8"),
+    cli._str_list: ("", "a,b"),
+    int: ("-1", "1.5", "x"),
+    float: ("-1", "nan", "inf", "x"),
+}
+
+
+def typed_flags():
+    """(command, flag name, argparse action) for every flag with a type or choices."""
+    _, flags = cli.build_parser()
+    for command, table in flags.items():
+        for name, action in table.items():
+            if action.type is not None or action.choices is not None:
+                yield command, name, action
+
+
+def base_args(command, root):
+    """A complete command line that reads only missing inputs, so it fails
+    with exit 2 or 4 (or, for synth, succeeds) but never with 1."""
+    missing = root / "missing"
+    return {
+        "synth": ("synth", "--task", "melody"),
+        "prepare": ("prepare", "--midi", missing, "--task", "pretrain"),
+        "pretrain": ("pretrain", "--data", missing, "--dry-run"),
+        "finetune": ("finetune", "--task", "melody", "--data", missing, "--no-pretrain"),
+        "eval": ("eval", "--checkpoint", missing, "--data", missing),
+        "skyline": ("skyline", "--midi", missing),
+    }[command]
+
+
+class TestOutOfDomainSweep:
+    """Every typed flag of every command, given an out-of-domain value on the
+    command line or in a --config file, is a one-line usage error (exit 1)
+    with no traceback and no output directory."""
+
+    def test_every_type_has_out_of_domain_values(self):
+        for command, name, action in typed_flags():
+            assert action.choices is not None or action.type in OUT_OF_DOMAIN, (command, name)
+
+    @pytest.mark.parametrize("command", sorted(cli.build_parser()[1]))
+    def test_base_commands_are_not_usage_errors(self, tmp_path, capsys, command):
+        assert run(*base_args(command, tmp_path), "--out", tmp_path / "out") != 1
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command, name, value, required", [
+        pytest.param(command, name, value, action.required, id=f"{command}-{name}={value}")
+        for command, name, action in typed_flags()
+        for value in (("bogus",) if action.choices is not None else OUT_OF_DOMAIN[action.type])
+    ])
+    def test_rejected_before_any_output(self, tmp_path, capsys, command, name, value, required):
+        out = tmp_path / "never"
+        args = (*base_args(command, tmp_path), "--out", out)
+        flag = "--" + name.replace("_", "-")
+        assert run(*args, f"{flag}={value}") == 1
+        legs = 1
+        if not required:  # the file's entries for required flags are ignored
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text(f"{name.replace('_', '-')} = {value}\n")
+            assert run(*args, "--config", cfg) == 1
+            legs = 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == legs and err.count("usage error: ") == legs, err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestRunConfig:

@@ -7,8 +7,14 @@ oracle that the class signal exists.
 
 from __future__ import annotations
 
+import json
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from midibert.corpus import (
     IGNORE_LABEL,
@@ -34,7 +40,7 @@ from midibert.corpus import (
     write_seq_labels,
 )
 from midibert.smf import QuantNote, make_score
-from midibert.tokens import chunk, encode_cp, encode_remi
+from midibert.tokens import CHUNK_LEN, ChunkedSequence, chunk, encode_cp, encode_remi, vocab
 
 
 class TestSplits:
@@ -272,6 +278,205 @@ class TestStore:
         path.write_text("not json\n")
         with pytest.raises(ValueError, match="not a chunk store"):
             load_store(path)
+
+
+def reference_store_text(chunks, representation, task_name):
+    """The store as json.dumps spells it: the layout save_store must keep."""
+    header = {"schema": "chunks-v1", "representation": representation, "task": task_name}
+    records = [
+        {
+            "piece_id": c.piece_id,
+            "chunk_index": c.chunk_index,
+            "ids": c.ids.tolist(),
+            "note_positions": [list(p) for p in c.note_positions],
+        }
+        for c in chunks
+    ]
+    return "".join(json.dumps(r) + "\n" for r in [header, *records])
+
+
+def reference_load(path):
+    """(representation, task, [(piece_id, chunk_index, ids, positions)]) via json.loads."""
+    header, *records = [json.loads(l) for l in path.read_text(encoding="utf-8").splitlines()]
+    return header["representation"], header["task"], [
+        (r["piece_id"], r["chunk_index"], np.asarray(r["ids"], dtype=np.int64),
+         tuple(tuple(p) for p in r["note_positions"]))
+        for r in records
+    ]
+
+
+def random_chunk(rng, representation, piece_id="p", chunk_index=0, notes=3):
+    """A chunk of random in-vocabulary ids with `notes` note positions."""
+    voc = vocab(representation)
+    if representation == "cp":
+        ids = rng.integers(0, voc.field_sizes, size=(CHUNK_LEN, 4))
+    else:
+        ids = rng.integers(0, len(voc), size=CHUNK_LEN)
+    steps = np.sort(rng.choice(CHUNK_LEN, size=notes, replace=False)).tolist()
+    return ChunkedSequence(piece_id, chunk_index, ids, tuple((s, i) for i, s in enumerate(steps)))
+
+
+class TestStoreCodec:
+    """save_store writes json.dumps's exact bytes without building JSON
+    objects, and load_store accepts that layout and nothing else."""
+
+    @pytest.mark.parametrize("representation", ["remi", "cp"])
+    def test_bytes_match_json_dumps(self, tmp_path, representation):
+        rng = np.random.default_rng(1)
+        pieces = synth_corpus(SynthSpec("melody", 2, bars_per_piece=70), seed=4)
+        chunks = pieces_to_chunks(pieces, representation)
+        assert max(c.chunk_index for c in chunks) > 0
+        chunks += [
+            random_chunk(rng, representation, 'q"uote', 0, notes=0),
+            random_chunk(rng, representation, "back\\slash", 3),
+            random_chunk(rng, representation, "Dvořák – Humoreske ♪", 12),
+            random_chunk(rng, representation, "tab\tnew\nline\u0001", 1),
+        ]
+        path = tmp_path / "chunks.jsonl"
+        save_store(path, chunks, representation=representation, task_name="melody")
+        assert path.read_bytes() == reference_store_text(chunks, representation, "melody").encode()
+        store = load_store(path)
+        assert [(c.piece_id, c.chunk_index, c.note_positions) for c in store.chunks] == [
+            (c.piece_id, c.chunk_index, c.note_positions) for c in chunks
+        ]
+        assert all(np.array_equal(a.ids, b.ids) for a, b in zip(store.chunks, chunks))
+
+    @pytest.mark.parametrize("representation", ["remi", "cp"])
+    def test_empty_store(self, tmp_path, representation):
+        path = tmp_path / "chunks.jsonl"
+        save_store(path, [], representation=representation, task_name="pretrain")
+        assert path.read_bytes() == reference_store_text([], representation, "pretrain").encode()
+        store = load_store(path)
+        assert (store.representation, store.task_name, store.chunks) == (
+            representation, "pretrain", ()
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        representation=st.sampled_from(["remi", "cp"]),
+        records=st.lists(
+            st.tuples(
+                st.text(max_size=12),
+                st.integers(0, 10**6),
+                st.integers(0, 2**32 - 1),
+                st.lists(
+                    st.tuples(st.integers(0, CHUNK_LEN - 1), st.integers(0, 10**9)), max_size=6
+                ),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_round_trip_matches_json_loads(self, tmp_path_factory, representation, records):
+        chunks = [
+            ChunkedSequence(
+                piece_id, chunk_index,
+                random_chunk(np.random.default_rng(seed), representation).ids,
+                tuple(positions),
+            )
+            for piece_id, chunk_index, seed, positions in records
+        ]
+        path = tmp_path_factory.mktemp("store") / "chunks.jsonl"
+        save_store(path, chunks, representation=representation, task_name="emotion")
+        expected_text = reference_store_text(chunks, representation, "emotion")
+        assert path.read_text(encoding="utf-8") == expected_text
+        store = load_store(path)
+        rep, task_name, expected = reference_load(path)
+        assert (store.representation, store.task_name) == (rep, task_name)
+        assert len(store.chunks) == len(expected)
+        for c, (piece_id, chunk_index, ids, positions) in zip(store.chunks, expected):
+            assert (c.piece_id, c.chunk_index) == (piece_id, chunk_index)
+            assert c.note_positions == positions
+            assert c.ids.dtype == np.int64 and np.array_equal(c.ids, ids)
+
+    @staticmethod
+    def edited_store(tmp_path, representation, old, new):
+        """A two-chunk store whose second record (line 3) has `old` replaced by `new`."""
+        ids = np.zeros((CHUNK_LEN, 4) if representation == "cp" else CHUNK_LEN, dtype=np.int64)
+        ids[0], ids[1] = 1, 2 if representation == "cp" else 5
+        chunks = [ChunkedSequence("p", i, ids, ((0, 0), (1, 1))) for i in range(2)]
+        path = tmp_path / "chunks.jsonl"
+        save_store(path, chunks, representation=representation, task_name="melody")
+        head, first, second = path.read_text().splitlines(keepends=True)
+        assert old in second
+        path.write_text(head + first + second.replace(old, new, 1))
+        return path
+
+    REJECTED = {
+        "truncated line": ("remi", ', "note_positions"', ""),
+        "no final newline": ("remi", "]]}\n", "]]}"),
+        "missing key": ("remi", '"chunk_index": 1, ', ""),
+        "extra key": ("remi", '{"piece_id"', '{"extra": 1, "piece_id"'),
+        "reordered keys": (
+            "remi", '"piece_id": "p", "chunk_index": 1', '"chunk_index": 1, "piece_id": "p"'
+        ),
+        "compact separators": ("remi", '"ids": [1, 5, 0', '"ids": [1,5,0'),
+        "doubled space": ("remi", "[1, 5, ", "[1,  5, "),
+        "crlf": ("remi", "]]}\n", "]]}\r\n"),
+        "escaped piece id": ("remi", '"p"', '"\\u0070"'),
+        "negative id": ("remi", "[1, 5, ", "[-1, 5, "),
+        "plus sign": ("remi", "[1, 5, ", "[+1, 5, "),
+        "float id": ("remi", "[1, 5, ", "[1.0, 5, "),
+        "leading zero": ("remi", "[1, 5, ", "[01, 5, "),
+        "empty id": ("remi", "[1, 5, 0, ", "[1, , 0, "),
+        "leading zero beside an empty id": ("remi", "[1, 5, 0, ", "[1, 05, , "),
+        "20-digit id": ("remi", "[1, 5, ", "[18446744073709551617, 5, "),
+        "id above int64": ("remi", "[1, 5, ", "[99999999999999999999, 5, "),
+        "out-of-vocabulary id": ("remi", "[1, 5, ", "[169, 5, "),
+        "511 steps": ("remi", ", 0], ", "], "),
+        "513 steps": ("remi", ", 0], ", ", 0, 0], "),
+        "cp 3-field row": ("cp", "[[1, 1, 1, 1], ", "[[1, 1, 1], "),
+        "cp 5-field row": ("cp", "[[1, 1, 1, 1], ", "[[1, 1, 1, 1, 1], "),
+        "cp out-of-vocabulary field": ("cp", "[[1, 1, 1, 1], ", "[[4, 1, 1, 1], "),
+        "cp flat ids": ("cp", "[[1, 1, 1, 1], [2", "[1, 1, 1, 1, [2"),
+        "note step past the chunk": ("remi", "[[0, 0], [1, 1]]", "[[0, 0], [512, 1]]"),
+        "note position leading zero": ("remi", "[[0, 0], [1, 1]]", "[[0, 0], [01, 1]]"),
+        "note position spacing": ("remi", "[[0, 0], [1, 1]]", "[[0, 0],[1, 1]]"),
+        "20-digit note index": ("remi", "[[0, 0], [1, 1]]", "[[0, 0], [1, 18446744073709551617]]"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_rejects_other_spellings(self, tmp_path, case):
+        representation, old, new = self.REJECTED[case]
+        path = self.edited_store(tmp_path, representation, old, new)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: "):
+            load_store(path)
+
+    def test_rejects_bad_headers(self, tmp_path):
+        path = tmp_path / "chunks.jsonl"
+        path.write_text("[1]\n")
+        with pytest.raises(ValueError, match="not a chunk store"):
+            load_store(path)
+        path.write_text('{"schema": "chunks-v1", "representation": "midi", "task": "melody"}\n')
+        with pytest.raises(ValueError, match="unknown representation 'midi'"):
+            load_store(path)
+
+    @pytest.mark.parametrize("representation, other", [("remi", "cp"), ("cp", "remi")])
+    def test_writer_rejects_ids_it_could_not_read_back(self, tmp_path, representation, other):
+        rng = np.random.default_rng(2)
+        good = random_chunk(rng, representation)
+        path = tmp_path / "chunks.jsonl"
+        for ids in (good.ids - 1, good.ids + 200, good.ids.astype(np.float64),
+                    random_chunk(rng, other).ids):
+            bad = ChunkedSequence("p", 0, ids, ())
+            with pytest.raises(ValueError, match="'p' chunk 0"):
+                save_store(path, [good, bad], representation=representation, task_name="melody")
+
+    def test_loading_keeps_only_the_ids_block(self, tmp_path):
+        rng = np.random.default_rng(3)
+        chunks = [random_chunk(rng, "cp", f"piece_{i:03d}", 0, notes=1) for i in range(64)]
+        path = tmp_path / "chunks.jsonl"
+        save_store(path, chunks, representation="cp", task_name="emotion")
+        block = 64 * CHUNK_LEN * 4 * 8
+        assert path.stat().st_size > 64 * 7000  # the file never sits in memory whole
+        tracemalloc.start()
+        try:
+            store = load_store(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block + 256 * 1024, peak
+        base = store.chunks[0].ids.base
+        assert base is not None and all(c.ids.base is base for c in store.chunks)
 
 
 class TestCsvFiles:

@@ -74,6 +74,10 @@ class TestTrainConfig:
             {"seed": -1},
             {"freeze": "heads"},
             {"grad_clip": 0.0},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+            {"weight_decay": float("nan")},
+            {"weight_decay": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -278,6 +282,25 @@ class TestPretrain:
         assert len(log.rows) == 1 + cfg.patience
         assert log.stopped_early
         assert log.rows[1].valid_loss == log.rows[0].valid_loss
+
+    def test_nonfinite_gradient_names_epoch_and_batch(self, tmp_path, monkeypatch):
+        data = ostinato_ids(6)
+        cfg = train.pretrain_config(batch_size=2, lr=1e-3, max_epochs=2, patience=2, seed=0)
+        m = M.EncoderModel(tiny_config())
+        backward, steps = ad.backward, []
+
+        def poisoned(loss):  # a NaN lands in one gradient on the second step
+            backward(loss)
+            steps.append(len(steps))
+            if len(steps) == 2:
+                m.params["layers.0.ff.w1"].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(ad, "backward", poisoned)
+        with pytest.raises(
+            FloatingPointError,
+            match=r"^non-finite gradient in layers\.0\.ff\.w1 at epoch 1, batch 1$",
+        ):
+            train.pretrain(m, data[:4], data[4:], cfg, tmp_path / "nan.ckpt")
 
     def test_runs_to_max_epochs_without_stopping(self, tmp_path):
         rng = np.random.default_rng(5)
