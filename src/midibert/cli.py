@@ -178,9 +178,9 @@ def resolve_options(argv: list[str] | None) -> dict:
 
     A config entry is checked like its flag (type, then choices) and becomes
     that flag's default before argv is parsed again. Entries for flags the
-    command line must give are ignored. The training settings are checked
-    as a whole by building their TrainConfig, so nothing is written for a
-    run that could not start."""
+    command line must give are ignored. The training and synth settings are
+    checked as a whole by building their TrainConfig or SynthSpec, so
+    nothing is written for a run that could not start."""
     parser, flags = build_parser()
     args = parser.parse_args(argv)
     if args.config:
@@ -203,11 +203,13 @@ def resolve_options(argv: list[str] | None) -> dict:
             action.default = value
         args = parser.parse_args(argv)
     options = vars(args)
-    if args.command in ("pretrain", "finetune"):
-        try:
+    try:
+        if args.command in ("pretrain", "finetune"):
             _train_config(options)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        elif args.command == "synth":
+            _synth_spec(options)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return options
 
 
@@ -246,15 +248,18 @@ def _progress(message: str) -> None:
 
 # --- synth -----------------------------------------------------------------------
 
-def cmd_synth(options: dict) -> int:
-    spec = corpus.SynthSpec(
+def _synth_spec(options: dict) -> corpus.SynthSpec:
+    return corpus.SynthSpec(
         task=options["task"],
         pieces=options["pieces"],
         bars_per_piece=options["bars"],
         notes_per_bar=options["notes_per_bar"],
         style=options["style"],
     )
-    pieces = corpus.synth_corpus(spec, options["seed"])
+
+
+def cmd_synth(options: dict) -> int:
+    pieces = corpus.synth_corpus(_synth_spec(options), options["seed"])
     out_dir = Path(options["out"])
     write_run_config(out_dir, options, {})
     for piece in pieces:

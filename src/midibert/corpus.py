@@ -216,6 +216,8 @@ class SynthSpec:
         if self.pieces <= 0 or self.bars_per_piece <= 0 or self.notes_per_bar <= 0:
             raise ValueError("pieces, bars_per_piece, notes_per_bar must be positive")
         task(self.task)
+        if self.style != "default" and self.task != "pretrain":
+            raise ValueError(f"style {self.style!r} applies only to the pretrain task")
 
 
 def synth_corpus(spec: SynthSpec, seed: int) -> list[LabeledPiece]:

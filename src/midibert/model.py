@@ -2,9 +2,9 @@
 
 The encoder embeds token-id grids (single ids per step, or four-field rows
 for the compound representation), runs post-layer-norm self-attention
-blocks with learned relative key-query position scores (additive sinusoidal
-encoding is the fallback), and feeds one of three heads: masked-token
-reconstruction, per-step classification, or whole-sequence classification.
+blocks with learned relative key-query position scores, and feeds one of
+three heads: masked-token reconstruction, per-step classification, or
+whole-sequence classification.
 
 Checkpoints are a small self-describing container: magic, version, a JSON
 header listing the config and tensor layout, then raw little-endian
@@ -30,7 +30,9 @@ CHECKPOINT_MAGIC = b"MBPT"
 CHECKPOINT_VERSION = 1
 
 HEAD_KINDS = ("mlm", "note", "seq")
-POSITION_MODES = ("relative", "sinusoidal")
+# the one position scheme; the field stays in ModelConfig because every
+# checkpoint header spells the config out
+POSITION_MODES = ("relative",)
 FREEZE_MODES = (None, "backbone", "attention")
 
 
@@ -104,19 +106,10 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndar
     return out
 
 
-def _sinusoid_table(max_len: int, hidden: int) -> np.ndarray:
-    pos = np.arange(max_len, dtype=np.float64)[:, None]
-    i = np.arange(hidden // 2, dtype=np.float64)[None, :]
-    angle = pos / np.power(10000.0, 2.0 * i / hidden)
-    table = np.zeros((max_len, hidden), dtype=np.float64)
-    table[:, 0::2] = np.sin(angle)
-    table[:, 1::2] = np.cos(angle)
-    return table
-
-
-def _mix(seed: int, site: int) -> int:
-    # distinct, reproducible RNG seed per dropout site
-    return int(np.random.SeedSequence([seed, site]).generate_state(1)[0])
+def derive_seed(*parts: int) -> int:
+    """A reproducible RNG seed for one draw site, e.g. (seed, dropout site)
+    or (seed, epoch, batch)."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
 def _dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -149,8 +142,7 @@ def _param_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]
             par(pre + f"attn.{name}", (hid, hid))
         for name in ("bq", "bk", "bv", "bo"):
             par(pre + f"attn.{name}", (hid,), "zeros")
-        if config.position_mode == "relative":
-            par(pre + "attn.rel", (2 * config.rel_clip + 1, head_dim))
+        par(pre + "attn.rel", (2 * config.rel_clip + 1, head_dim))
         par(pre + "ln1.g", (hid,), "ones")
         par(pre + "ln1.b", (hid,), "zeros")
         par(pre + "ff.w1", (hid, config.ff))
@@ -200,8 +192,6 @@ class EncoderModel:
                     data = np.ones(shape)
                 params[name] = ad.tensor(data, requires_grad=True)
         self.params = params
-        if config.position_mode == "sinusoidal":
-            self._sin_table = _sinusoid_table(config.max_len, config.hidden)
 
     def detached(self) -> "EncoderModel":
         """The same model over `Tensor(t.data)` per parameter: no op on it
@@ -249,9 +239,6 @@ class EncoderModel:
         else:
             parts = [ad.embed(p[f"embed.{f}"], ids[..., k]) for k, f in enumerate(CP_FIELDS)]
             x = _dense(ad.concat(parts, axis=-1), p["embed.proj.w"], p["embed.proj.b"])
-        if cfg.position_mode == "sinusoidal":
-            table = self._sin_table[:length].astype(x.data.dtype)
-            x = ad.add_const(x, table[None, :, :])
 
         mask = self.step_mask(ids)
         key_bias = np.where(mask, 0.0, -1e9).astype(x.data.dtype)[:, None, None, :]
@@ -259,7 +246,7 @@ class EncoderModel:
         scaling = 1.0 / float(np.sqrt(head_dim))
 
         site = 0
-        x = ad.dropout(x, drop, _mix(seed, site), training)
+        x = ad.dropout(x, drop, derive_seed(seed, site), training)
         site += 1
         for i in range(cfg.layers):
             pre = f"layers.{i}."
@@ -271,27 +258,21 @@ class EncoderModel:
             q = heads_of(_dense(x, p[pre + "attn.wq"], p[pre + "attn.bq"]))
             k = heads_of(_dense(x, p[pre + "attn.wk"], p[pre + "attn.bk"]))
             v = heads_of(_dense(x, p[pre + "attn.wv"], p[pre + "attn.bv"]))
-            if cfg.position_mode == "relative":
-                ctx = ad.attention(
-                    q, k, v, p[pre + "attn.rel"], key_bias, scaling,
-                    drop, _mix(seed, site), training,
-                )
-            else:
-                raw = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
-                scores = ad.add_const(ad.scale(raw, scaling), key_bias)
-                probs = ad.dropout(ad.softmax(scores), drop, _mix(seed, site), training)
-                ctx = ad.matmul(probs, v)
+            ctx = ad.attention(
+                q, k, v, p[pre + "attn.rel"], key_bias, scaling,
+                drop, derive_seed(seed, site), training,
+            )
             site += 1
             ctx = ad.transpose(ctx, (0, 2, 1, 3))
             ctx = ad.reshape(ctx, (batch, length, cfg.hidden))
             attn_out = _dense(ctx, p[pre + "attn.wo"], p[pre + "attn.bo"])
-            attn_out = ad.dropout(attn_out, drop, _mix(seed, site), training)
+            attn_out = ad.dropout(attn_out, drop, derive_seed(seed, site), training)
             site += 1
             x = ad.layer_norm(ad.add(x, attn_out), p[pre + "ln1.g"], p[pre + "ln1.b"])
 
             inner = ad.gelu(_dense(x, p[pre + "ff.w1"], p[pre + "ff.b1"]))
             ff_out = _dense(inner, p[pre + "ff.w2"], p[pre + "ff.b2"])
-            ff_out = ad.dropout(ff_out, drop, _mix(seed, site), training)
+            ff_out = ad.dropout(ff_out, drop, derive_seed(seed, site), training)
             site += 1
             x = ad.layer_norm(ad.add(x, ff_out), p[pre + "ln2.g"], p[pre + "ln2.b"])
         return x
@@ -310,7 +291,7 @@ class EncoderModel:
             ]
         if cfg.head == "note":
             z = ad.relu(_dense(h, p["head.note.w1"], p["head.note.b1"]))
-            z = ad.dropout(z, cfg.dropout, _mix(seed, 10_000), training)
+            z = ad.dropout(z, cfg.dropout, derive_seed(seed, 10_000), training)
             return _dense(z, p["head.note.w2"], p["head.note.b2"])
 
         mask = self.step_mask(np.asarray(ids))
@@ -320,7 +301,7 @@ class EncoderModel:
         weights = ad.reshape(ad.softmax(raw), (batch, 1, length))
         pooled = ad.reshape(ad.matmul(weights, h), (batch, cfg.hidden))
         z = ad.relu(_dense(pooled, p["head.seq.w1"], p["head.seq.b1"]))
-        z = ad.dropout(z, cfg.dropout, _mix(seed, 10_000), training)
+        z = ad.dropout(z, cfg.dropout, derive_seed(seed, 10_000), training)
         return _dense(z, p["head.seq.w2"], p["head.seq.b2"])
 
 
@@ -478,10 +459,8 @@ def load_backbone(model: EncoderModel, path) -> list[str]:
 
     The head is whatever `model` was built with; only the shared trunk
     (embeddings and encoder layers) must line up. Returns the loaded names."""
-    with open(path, "rb") as fh:
-        header = _read_header(fh, path)
-        tensors = _read_tensors(fh, header, path)
-    source = {n: a for n, a in tensors.items() if not n.startswith("head.")}
+    params = load_checkpoint(path).params
+    source = {n: t.data for n, t in params.items() if not n.startswith("head.")}
     target = {n for n in model.params if not n.startswith("head.")}
     if set(source) != target:
         raise CheckpointError(f"{path}: backbone tensors do not match the target model")

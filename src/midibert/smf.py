@@ -2,10 +2,10 @@
 
 Scores live on a fixed metrical grid: onsets snap to 16 sub-beats per 4/4
 bar, durations to half sub-beats (1/32 bar, 1..64 units). Quantization ties
-round up. Files whose time signature is not a constant 4/4 are rejected
-unless the caller forces reinterpretation. The parser reads formats 0 and 1
-from bytes, honors running status and declared chunk lengths, and reports
-errors with byte offsets; it never reads past a chunk boundary.
+round up. Files whose time signature is not a constant 4/4 are rejected.
+The parser reads formats 0 and 1 from bytes, honors running status and
+declared chunk lengths, and reports errors with byte offsets; it never reads
+past a chunk boundary.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ VELOCITY_NAMES = ("pp", "p", "mp", "mf", "f", "ff")
 VELOCITY_MIDPOINTS = tuple((lo + hi + 1) // 2 for lo, hi in VELOCITY_BINS)
 
 _DEFAULT_TEMPO_USPQ = 500_000    # 120 bpm, written into every output file
+DEFAULT_VELOCITY = 64            # written for notes without a velocity class
 
 
 class SmfError(ValueError):
@@ -395,15 +396,13 @@ def _vlq(value: int) -> bytes:
     return bytes(reversed(out))
 
 
-def write_smf(score: Score, *, default_velocity: int = 64) -> bytes:
+def write_smf(score: Score) -> bytes:
     """Serialize a Score as a single-track format-0 file at 480 tpq.
 
     Note-on velocity is the dynamics-bin midpoint when velocity_class is
-    present, else default_velocity. Trailing bars with no notes are not
+    present, else DEFAULT_VELOCITY. Trailing bars with no notes are not
     representable and will not survive a read-back.
     """
-    if not 1 <= default_velocity <= 127:
-        raise ValueError(f"default_velocity out of range 1..127: {default_velocity}")
     sub_beat_ticks = WRITE_TPQ // 4
     unit_ticks = WRITE_TPQ // 8
 
@@ -418,7 +417,7 @@ def write_smf(score: Score, *, default_velocity: int = 64) -> bytes:
         velocity = (
             VELOCITY_MIDPOINTS[note.velocity_class]
             if note.velocity_class is not None
-            else default_velocity
+            else DEFAULT_VELOCITY
         )
         still = [(end, ch) for end, ch in active.get(note.pitch, []) if end > on]
         used = {ch for _, ch in still}

@@ -14,9 +14,7 @@ both chunk into fixed 512-step windows that never span pieces.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -367,49 +365,3 @@ def chunk(tokens: list[RemiToken] | list[SuperToken], piece_id: str) -> list[Chu
 def _padded_len(n: int) -> int:
     return ((n + CHUNK_LEN - 1) // CHUNK_LEN) * CHUNK_LEN
 
-
-# --- vocabulary files --------------------------------------------------------
-
-def save_vocab(voc: Vocabulary, path: str | Path) -> None:
-    """token_string<TAB>id, one line per entry, sorted by id.
-
-    CP entries are written per field in field order as field(value)."""
-    lines = []
-    if voc.representation == "remi":
-        for token_id, token in enumerate(voc.id_to_token):
-            lines.append(f"{token}\t{token_id}")
-    else:
-        for field_name in CP_FIELDS:
-            for value_id, value in enumerate(voc.id_to_value[field_name]):
-                lines.append(f"{field_name}({value})\t{value_id}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_vocab(path: str | Path) -> Vocabulary:
-    """Rebuild a vocabulary from its file and verify it is one of the two
-    canonical layouts."""
-    text = Path(path).read_text(encoding="utf-8")
-    entries = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            token_string, id_string = line.split("\t")
-            entries.append((token_string, int(id_string)))
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad vocabulary line {line_no}: {line!r}") from exc
-    for representation in ("remi", "cp"):
-        voc = vocab(representation)
-        if entries == _vocab_entries(voc):
-            return voc
-    raise ValueError(f"{path}: not a recognized vocabulary layout")
-
-
-def _vocab_entries(voc: Vocabulary) -> list[tuple[str, int]]:
-    if voc.representation == "remi":
-        return [(str(t), i) for i, t in enumerate(voc.id_to_token)]
-    return [
-        (f"{field_name}({value})", value_id)
-        for field_name in CP_FIELDS
-        for value_id, value in enumerate(voc.id_to_value[field_name])
-    ]

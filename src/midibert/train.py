@@ -174,10 +174,6 @@ def apply_freeze(model: M.EncoderModel, freeze: str | None) -> dict[str, Tensor]
     return trainable
 
 
-def _derive(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
-
-
 def _batches(order: np.ndarray, size: int):
     for start in range(0, len(order), size):
         yield order[start : start + size]
@@ -287,13 +283,13 @@ def pretrain(
     valid_ids = np.asarray(valid_ids)
     if len(train_ids) == 0 or len(valid_ids) == 0:
         raise ValueError("empty pre-training corpus")
-    valid_mask_seed = _derive(config.seed, 1_000_003)  # fixed across epochs
+    valid_mask_seed = M.derive_seed(config.seed, 1_000_003)  # fixed across epochs
 
     def batch_loss(rows, epoch, bi):
-        mb = masking.corrupt(train_ids[rows], model.vocab, seed=_derive(config.seed, epoch, bi))
+        mb = masking.corrupt(train_ids[rows], model.vocab, seed=M.derive_seed(config.seed, epoch, bi))
         if not mb.loss_mask.any():
             return None
-        return M.mlm_loss(model, mb, training=True, seed=_derive(config.seed, epoch, bi, 1))[0]
+        return M.mlm_loss(model, mb, training=True, seed=M.derive_seed(config.seed, epoch, bi, 1))[0]
 
     def validate():
         return evaluate_mlm(model, valid_ids, config.batch_size, valid_mask_seed)
@@ -392,7 +388,7 @@ def finetune(
     def batch_loss(rows, epoch, bi):
         return _class_loss(
             model, data.ids[rows], labels[rows], level,
-            training=True, seed=_derive(config.seed, epoch, bi),
+            training=True, seed=M.derive_seed(config.seed, epoch, bi),
         )[0]
 
     def validate():

@@ -70,6 +70,17 @@ class TestSynth:
         assert run("synth", "--task", "tempo", "--out", tmp_path / "x") == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task", sorted(set(corpus.TASKS) - {"pretrain"}))
+    def test_style_outside_pretrain_is_usage_error(self, tmp_path, capsys, task):
+        out = tmp_path / "never"
+        assert run("synth", "--task", task, "--style", "ostinato", "--out", out) == 1
+        cfg = tmp_path / "style.cfg"
+        cfg.write_text("style = pop\n")
+        assert run("synth", "--task", task, "--config", cfg, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("usage error") == 2 and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPrepare:
     def test_store_layout_and_counts(self, tmp_path):

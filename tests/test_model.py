@@ -57,6 +57,7 @@ class TestConfig:
             {"head": "seq", "num_classes": 1},
             {"dropout": 1.0},
             {"layers": 0},
+            {"position_mode": "sinusoidal"},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -112,10 +113,6 @@ class TestParameters:
         c = M.EncoderModel(M.desk_config("remi", init_seed=7))
         assert all(np.array_equal(a.params[n].data, b.params[n].data) for n in a.params)
         assert any(not np.array_equal(a.params[n].data, c.params[n].data) for n in a.params)
-
-    def test_relative_table_absent_in_sinusoidal_mode(self):
-        m = M.EncoderModel(M.desk_config("remi", position_mode="sinusoidal"))
-        assert not any(n.endswith("attn.rel") for n in m.params)
 
     def test_trainable_freeze_modes(self):
         m = M.EncoderModel(M.desk_config("remi", head="note", num_classes=3))
@@ -241,18 +238,6 @@ class TestTranslationEquivariance:
         ha = m.hidden_states(a).data[0, :10]
         hb = m.hidden_states(b).data[0, 5:15]
         assert np.abs(ha - hb).max() <= 2e-5
-
-    def test_sinusoidal_positions_break_shift_invariance(self):
-        rng = np.random.default_rng(6)
-        block = rng.choice(np.arange(2, 168), size=10)
-        a = np.zeros((1, 32), dtype=np.int64)
-        b = np.zeros((1, 32), dtype=np.int64)
-        a[0, :10] = block
-        b[0, 5:15] = block
-        m = M.EncoderModel(M.desk_config("remi", position_mode="sinusoidal"))
-        ha = m.hidden_states(a).data[0, :10]
-        hb = m.hidden_states(b).data[0, 5:15]
-        assert np.abs(ha - hb).max() > 1e-2
 
 
 class TestMlmObjective:
@@ -533,3 +518,12 @@ class TestCheckpoints:
         )
         with pytest.raises(M.CheckpointError):
             M.load_backbone(other, path)
+
+    def test_backbone_load_checks_the_header_config(self, tmp_path):
+        source = M.EncoderModel(M.desk_config("remi"))
+        source.config = replace(source.config, layers=3)  # header says 3, tensors hold 2
+        path = tmp_path / "pretrained.mbpt"
+        M.save_checkpoint(path, source)
+        target = M.EncoderModel(M.desk_config("remi", head="note", num_classes=3))
+        with pytest.raises(M.CheckpointError, match="layout"):
+            M.load_backbone(target, path)

@@ -258,10 +258,10 @@ class TestRoundTrip:
 
     def test_score_without_velocity_uses_default(self):
         score = make_score("s", [QuantNote(0, 3, 70, 8)])
-        raw, meta = parse_smf(write_smf(score, default_velocity=90))
-        assert raw[0].velocity == 90
+        raw, meta = parse_smf(write_smf(score))
+        assert raw[0].velocity == 64
         back = quantize(raw, meta.ticks_per_quarter, source_id="s")
-        assert back.notes[0].velocity_class == velocity_class_of(90)
+        assert back.notes[0].velocity_class == velocity_class_of(64)
 
     def test_writer_output_is_constant_4_4(self):
         rng = np.random.default_rng(3)

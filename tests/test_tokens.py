@@ -23,8 +23,6 @@ from midibert.tokens import (
     decode_remi,
     encode_cp,
     encode_remi,
-    load_vocab,
-    save_vocab,
     vocab,
 )
 
@@ -63,28 +61,6 @@ class TestVocab:
         assert len(remi.content_ids()) == 167
         cp = vocab("cp")
         assert [len(cp.content_ids(f)) for f in CP_FIELDS] == [2, 16, 86, 64]
-
-    def test_save_load_round_trip(self, tmp_path):
-        for representation in ("remi", "cp"):
-            voc = vocab(representation)
-            path = tmp_path / f"{representation}.tsv"
-            save_vocab(voc, path)
-            assert load_vocab(path).representation == representation
-
-    def test_vocab_file_format(self, tmp_path):
-        path = tmp_path / "remi.tsv"
-        save_vocab(vocab("remi"), path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "Pad\t0"
-        assert lines[1] == "Bar\t1"
-        assert lines[-1] == "Mask\t168"
-        assert len(lines) == 169
-
-    def test_corrupt_vocab_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("Pad\t0\nBar\t2\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="not a recognized vocabulary"):
-            load_vocab(path)
 
 
 def two_bar_six_note_score() -> Score:
