@@ -40,15 +40,8 @@ class Tensor:
         self._backward = _backward
         self._spent = False
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
-
-    def item(self) -> float:
-        return float(self.data)
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -390,9 +383,9 @@ def _table_width(rel_table: Tensor, head_dim: int) -> int:
 class _Band:
     """The relative term of one (T, T) head, q·r_{j-i} = QR[i, clip(j - i,
     -c, c) + c], read through a skewed view of the head's (T, 2c+1) product
-    QR = q·rel_tableᵀ. When T-1 > c, the rows are padded to the 2T-1
-    distances a row can see by repeating their first and last columns, in
-    one (T, 2T-1) buffer reused head by head."""
+    QR = q·rel_tableᵀ. The rows are padded to the distances a row can see,
+    max(2T-1, 2c+1), by repeating their first and last columns, in one
+    buffer reused head by head; when T-1 <= c the pad is empty."""
 
     def __init__(self, steps: int, width: int, dtype):
         clip = (width - 1) // 2
@@ -401,14 +394,11 @@ class _Band:
         self.pad = max(steps - 1 - clip, 0)  # columns each tail repeats
         self.offset = clip + self.pad  # band column of distance 0
         # zeroed: `grad` writes the same cells for every head, the rest stay 0
-        self.buffer = np.zeros((steps, width + 2 * self.pad), dtype) if self.pad else None
+        self.buffer = np.zeros((steps, width + 2 * self.pad), dtype)
         self.ones = np.ones(self.pad, dtype)
 
     def add(self, scores: np.ndarray, qr_head: np.ndarray) -> None:
         """scores (T, T) += the relative term of qr_head (T, 2c+1)."""
-        if not self.pad:
-            scores += _skew(qr_head, self.steps, self.offset)
-            return
         band, pad, width = self.buffer, self.pad, self.width
         band[:, :pad] = qr_head[:, :1]
         band[:, pad : pad + width] = qr_head
@@ -418,10 +408,7 @@ class _Band:
     def grad(self, g_head: np.ndarray, gqr_head: np.ndarray) -> None:
         """Write the gradient of QR (T, 2c+1) for the score gradient g_head
         (T, T): through the skewed view, with the padded tails folded back
-        into columns 0 and 2c. Without padding gqr_head must start zeroed."""
-        if not self.pad:
-            _skew(gqr_head, self.steps, self.offset)[...] = g_head
-            return
+        into columns 0 and 2c."""
         band, pad, width = self.buffer, self.pad, self.width
         _skew(band, self.steps, self.offset)[...] = g_head
         gqr_head[...] = band[:, pad : pad + width]
@@ -434,16 +421,14 @@ def attention_scores(
     q: Tensor,
     k: Tensor,
     rel_table: Tensor,
-    rel_index: np.ndarray,
     key_bias: np.ndarray,
     scaling: float,
 ) -> Tensor:
     """(q·k + q·r_{j-i}) * scaling + key_bias, in one op.
 
     q, k are (B, H, T, D); rel_table is (2c+1, D), one row per clipped
-    distance clip(j - i, -c, c); rel_index (T, T) must be exactly those
-    distances plus c (anything else is a ValueError); key_bias broadcasts
-    over (B, H, T, T) and takes no gradient.
+    distance clip(j - i, -c, c); key_bias broadcasts over (B, H, T, T) and
+    takes no gradient.
 
     The relative term is never gathered into a (T, T, D) tensor. Following
     the skewing trick of Music Transformer (Huang et al. 2018,
@@ -460,11 +445,6 @@ def attention_scores(
     d_ = q.data.shape[-1]
     t_ = q.data.shape[-2]
     width = _table_width(rel_table, d_)
-    clip = (width - 1) // 2
-    distances = np.clip(np.arange(1 - t_, t_), -clip, clip) + clip
-    expected = np.lib.stride_tricks.sliding_window_view(distances, t_)[::-1]  # (T, T) view
-    if not np.array_equal(rel_index, expected):
-        raise ValueError(f"rel_index must be clip(j - i, -{clip}, {clip}) + {clip} over {t_} steps")
     scaling = float(scaling)  # a numpy float64 scalar would upcast float32 arrays
 
     qr = np.matmul(q.data, rel_table.data.T)  # (B, H, T, 2c+1)
@@ -510,9 +490,9 @@ def attention(
     training), v), bit-identical to that chain.
 
     q, k, v are (B, H, T, D) of one dtype; rel_table, key_bias and scaling
-    are as in attention_scores (the distance index is implied); p, seed and
-    training are as in dropout, with the same mask: bools drawn from
-    default_rng([seed]) in C order over (B, H, T, T).
+    are as in attention_scores; p, seed and training are as in dropout,
+    with the same mask: bools drawn from default_rng([seed]) in C order
+    over (B, H, T, T).
 
     The op runs one (b, h) at a time through one (T, T) buffer: content
     scores plus the relative band, scaling, key bias, an in-place softmax,

@@ -9,6 +9,7 @@ reproduced bit for bit. Exit codes: 0 success, 1 usage, 2 bad data,
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import hashlib
 import sys
@@ -127,7 +128,7 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, argparse.Action]]]:
     flag("out", required=True)
     flag("corpus", choices=CORPUS_MODES, default="all")
     flag("preset", choices=sorted(M.PRESETS), default="desk")
-    train_flags(flag, train.pretrain_config())
+    train_flags(flag, train.TrainConfig())
     flag("dry_run", action="store_true")
     flag("config")
 
@@ -228,6 +229,9 @@ def _digest_path(path: Path) -> str:
 
 
 def write_run_config(out_dir: Path, options: dict, inputs: dict[str, Path]) -> None:
+    """run_config.txt: the resolved options and the inputs' digests, --config's too."""
+    if options.get("config"):
+        inputs = {**inputs, "config": Path(options["config"])}
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"command = {options['command']}", f"version = {__version__}"]
     for key in sorted(options):
@@ -330,7 +334,9 @@ def _label_pieces(scores, task_spec, options, strict: bool):
                 if score.source_id not in note_map:
                     raise ValueError(f"piece {score.source_id!r}: no note labels")
                 pieces.append(
-                    corpus.attach_note_labels(score, note_map[score.source_id], task_spec)
+                    corpus.LabeledPiece(
+                        score=score, task=task_spec, note_labels=note_map[score.source_id],
+                    )
                 )
             else:
                 if score.source_id not in seq_map:
@@ -366,7 +372,7 @@ def cmd_prepare(options: dict) -> int:
 
     out_dir = Path(options["out"])
     inputs = {"midi": Path(options["midi"])}
-    for key in ("note_labels", "seq_labels", "config"):
+    for key in ("note_labels", "seq_labels"):
         if options.get(key):
             inputs[key] = Path(options[key])
     write_run_config(out_dir, options, inputs)
@@ -442,8 +448,6 @@ def cmd_pretrain(options: dict) -> int:
 
     manifest_lines.append(f"total pieces={total_pieces} chunks={total_chunks}")
     inputs = {f"data_{i}": Path(raw) for i, raw in enumerate(options["data"])}
-    if options.get("config"):
-        inputs["config"] = Path(options["config"])
     write_run_config(out_dir, options, inputs)
     (out_dir / "corpus_manifest.txt").write_text("\n".join(manifest_lines) + "\n")
     if options["dry_run"]:
@@ -510,9 +514,8 @@ def cmd_finetune(options: dict) -> int:
 
     out_dir = Path(options["out"])
     inputs = {"data": store_dir}
-    for key in ("checkpoint", "config"):
-        if options.get(key):
-            inputs[key] = Path(options[key])
+    if options["checkpoint"]:
+        inputs["checkpoint"] = Path(options["checkpoint"])
     write_run_config(out_dir, options, inputs)
 
     log, test_accuracy = train.finetune(model, data, config, out_dir / "model.ckpt")
@@ -554,8 +557,6 @@ def cmd_eval(options: dict) -> int:
 
     out_dir = Path(options["out"])
     inputs = {"data": store_dir, "checkpoint": Path(options["checkpoint"])}
-    if options.get("config"):
-        inputs["config"] = Path(options["config"])
     write_run_config(out_dir, options, inputs)
     evaluate.write_report(
         out_dir / "report", data.task.name, table,
@@ -578,11 +579,12 @@ def cmd_skyline(options: dict) -> int:
     write_run_config(out_dir, options, inputs)
 
     predictions = {score.source_id: evaluate.skyline(score) for score in scores}
-    lines = ["piece_id,note_index,label"]
-    for piece_id in sorted(predictions):
-        for i, value in enumerate(predictions[piece_id]):
-            lines.append(f"{piece_id},{i},{evaluate.BINARY_CLASS_NAMES[value]}")
-    (out_dir / "predictions.csv").write_text("\n".join(lines) + "\n")
+    with open(out_dir / "predictions.csv", "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(corpus.NOTE_LABEL_HEADER)
+        for piece_id in sorted(predictions):
+            for i, value in enumerate(predictions[piece_id]):
+                writer.writerow([piece_id, i, evaluate.BINARY_CLASS_NAMES[value]])
 
     if options.get("note_labels"):
         melody_spec = corpus.task("melody")

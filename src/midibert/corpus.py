@@ -15,6 +15,7 @@ import csv
 import json
 import re
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,10 +109,6 @@ class LabeledPiece:
         return self.score.source_id
 
 
-def attach_note_labels(score: Score, labels: list[int], task_spec: TaskSpec) -> LabeledPiece:
-    return LabeledPiece(score=score, task=task_spec, note_labels=tuple(labels))
-
-
 def derive_velocity_labels(score: Score) -> tuple[int, ...]:
     """Velocity-class labels come straight off the quantized notes."""
     labels = []
@@ -129,14 +126,6 @@ class SplitManifest:
     train: tuple[str, ...]
     valid: tuple[str, ...]
     test: tuple[str, ...]
-    ratios: tuple[int, ...]
-    seed: int
-
-    def split_of(self, piece_id: str) -> str:
-        for name, members in zip(SPLIT_NAMES, (self.train, self.valid, self.test)):
-            if piece_id in members:
-                return name
-        raise KeyError(f"piece {piece_id!r} not in manifest")
 
     @property
     def sizes(self) -> tuple[int, int, int]:
@@ -171,8 +160,6 @@ def make_splits(piece_ids: list[str], ratios: tuple[int, ...], seed: int) -> Spl
         train=tuple(sorted(shuffled[:train_n])),
         valid=tuple(sorted(shuffled[train_n : train_n + valid_n])),
         test=tuple(sorted(shuffled[train_n + valid_n :])),
-        ratios=tuple(ratios),
-        seed=seed,
     )
 
 
@@ -458,12 +445,6 @@ class Store:
     task_name: str
     chunks: tuple[ChunkedSequence, ...]
 
-    def piece_ids(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for c in self.chunks:
-            seen.setdefault(c.piece_id, None)
-        return tuple(seen)
-
     def chunks_of(self, piece_id: str) -> list[ChunkedSequence]:
         return [c for c in self.chunks if c.piece_id == piece_id]
 
@@ -555,9 +536,14 @@ def pieces_to_chunks(pieces: list[LabeledPiece], representation: str) -> list[Ch
 
 # --- CSV files --------------------------------------------------------------------
 
-def _check_header(row: list[str] | None, expected: tuple[str, ...], path) -> None:
-    if row is None or tuple(row) != expected:
-        raise ValueError(f"{path}: expected header {','.join(expected)!r}, got {row!r}")
+def _read_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[list[str]]:
+    """The rows of a CSV file after its header, which must be `header`."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        row = next(reader, None)
+        if row is None or tuple(row) != header:
+            raise ValueError(f"{path}: expected header {','.join(header)!r}, got {row!r}")
+        yield from reader
 
 
 def write_note_labels(path: str | Path, labels: dict[str, tuple[int, ...]], task_spec: TaskSpec) -> None:
@@ -571,11 +557,12 @@ def write_note_labels(path: str | Path, labels: dict[str, tuple[int, ...]], task
 
 def read_note_labels(path: str | Path, task_spec: TaskSpec) -> dict[str, tuple[int, ...]]:
     rows: dict[str, dict[int, int]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        _check_header(next(reader, None), NOTE_LABEL_HEADER, path)
-        for piece_id, note_index, label in reader:
-            rows.setdefault(piece_id, {})[int(note_index)] = task_spec.label_from(label)
+    for piece_id, note_index, label in _read_rows(path, NOTE_LABEL_HEADER):
+        by_index = rows.setdefault(piece_id, {})
+        index = int(note_index)
+        if index in by_index:
+            raise ValueError(f"{path}: piece {piece_id!r} repeats note_index {index}")
+        by_index[index] = task_spec.label_from(label)
     out = {}
     for piece_id, by_index in rows.items():
         if sorted(by_index) != list(range(len(by_index))):
@@ -593,10 +580,12 @@ def write_seq_labels(path: str | Path, labels: dict[str, int], task_spec: TaskSp
 
 
 def read_seq_labels(path: str | Path, task_spec: TaskSpec) -> dict[str, int]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        _check_header(next(reader, None), SEQ_LABEL_HEADER, path)
-        return {piece_id: task_spec.label_from(label) for piece_id, label in reader}
+    out = {}
+    for piece_id, label in _read_rows(path, SEQ_LABEL_HEADER):
+        if piece_id in out:
+            raise ValueError(f"{path}: piece {piece_id!r} is listed twice")
+        out[piece_id] = task_spec.label_from(label)
+    return out
 
 
 def write_manifest(path: str | Path, manifest: SplitManifest) -> None:
@@ -609,15 +598,14 @@ def write_manifest(path: str | Path, manifest: SplitManifest) -> None:
 
 
 def read_manifest(path: str | Path) -> dict[str, str]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        _check_header(next(reader, None), MANIFEST_HEADER, path)
-        out = {}
-        for piece_id, split_name in reader:
-            if split_name not in SPLIT_NAMES:
-                raise ValueError(f"{path}: unknown split {split_name!r}")
-            out[piece_id] = split_name
-        return out
+    out = {}
+    for piece_id, split_name in _read_rows(path, MANIFEST_HEADER):
+        if split_name not in SPLIT_NAMES:
+            raise ValueError(f"{path}: unknown split {split_name!r}")
+        if piece_id in out:
+            raise ValueError(f"{path}: piece {piece_id!r} is listed twice")
+        out[piece_id] = split_name
+    return out
 
 
 # --- assembled task data ------------------------------------------------------------

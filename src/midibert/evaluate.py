@@ -23,16 +23,13 @@ MELODY = 0
 NON_MELODY = 1
 
 
-def accuracy(preds, labels, ignore_label: int | None = IGNORE_LABEL) -> float:
+def accuracy(preds, labels) -> float:
     preds = np.asarray(preds)
     labels = np.asarray(labels)
     if preds.shape != labels.shape:
         raise ValueError(f"shape mismatch: {preds.shape} vs {labels.shape}")
-    if ignore_label is not None:
-        keep = labels != ignore_label
-        preds, labels = preds[keep], labels[keep]
-    else:
-        preds, labels = preds.reshape(-1), labels.reshape(-1)
+    keep = labels != IGNORE_LABEL
+    preds, labels = preds[keep], labels[keep]
     if labels.size == 0:
         raise ValueError("no labeled positions")
     return float((preds == labels).mean())
@@ -87,14 +84,13 @@ class ConfusionTable:
         return "\n".join(lines) + "\n"
 
 
-def confusion(preds, labels, class_names, ignore_label: int | None = IGNORE_LABEL) -> ConfusionTable:
+def confusion(preds, labels, class_names) -> ConfusionTable:
     preds = np.asarray(preds).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     if preds.shape != labels.shape:
         raise ValueError(f"shape mismatch: {preds.shape} vs {labels.shape}")
-    if ignore_label is not None:
-        keep = labels != ignore_label
-        preds, labels = preds[keep], labels[keep]
+    keep = labels != IGNORE_LABEL
+    preds, labels = preds[keep], labels[keep]
     if labels.size == 0:
         raise ValueError("no labeled positions")
     k = len(class_names)
@@ -105,12 +101,11 @@ def confusion(preds, labels, class_names, ignore_label: int | None = IGNORE_LABE
     return ConfusionTable(counts=counts, class_names=tuple(class_names))
 
 
-def majority_baseline(train_labels, ignore_label: int | None = IGNORE_LABEL) -> int:
+def majority_baseline(train_labels) -> int:
     """The constant predictor's class: most frequent training label, lowest
     index on ties."""
     labels = np.asarray(train_labels).reshape(-1)
-    if ignore_label is not None:
-        labels = labels[labels != ignore_label]
+    labels = labels[labels != IGNORE_LABEL]
     if labels.size == 0:
         raise ValueError("no labeled positions")
     values, freq = np.unique(labels, return_counts=True)

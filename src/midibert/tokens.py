@@ -99,8 +99,6 @@ class RemiVocab:
     id_to_token: tuple[RemiToken, ...]
     token_to_id: dict[RemiToken, int] = field(repr=False)
 
-    representation = "remi"
-
     def __len__(self) -> int:
         return len(self.id_to_token)
 
@@ -129,8 +127,6 @@ class CpVocab:
     id_to_value: dict[str, tuple]                 # field -> values in id order
     value_to_id: dict[str, dict] = field(repr=False)
 
-    representation = "cp"
-
     @property
     def field_sizes(self) -> tuple[int, int, int, int]:
         return tuple(len(self.id_to_value[f]) for f in CP_FIELDS)
@@ -156,9 +152,6 @@ class CpVocab:
         return tuple(
             self.value_to_id[f][v] for f, v in zip(CP_FIELDS, token.astuple())
         )
-
-    def decode_ids(self, ids) -> SuperToken:
-        return SuperToken(*(self.id_to_value[f][i] for f, i in zip(CP_FIELDS, ids)))
 
 
 Vocabulary = RemiVocab | CpVocab

@@ -37,7 +37,6 @@ class TrainConfig:
     patience: int = 30
     seed: int = 0
     freeze: str | None = None
-    grad_clip: float | None = 1.0
 
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1:
@@ -52,14 +51,6 @@ class TrainConfig:
             raise ValueError("seed must be non-negative")
         if self.freeze not in M.FREEZE_MODES:
             raise ValueError(f"unknown freeze mode: {self.freeze!r}")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ValueError(f"grad_clip must be positive or None: {self.grad_clip}")
-
-
-def pretrain_config(**overrides) -> TrainConfig:
-    base = dict(max_epochs=500, patience=30)
-    base.update(overrides)
-    return TrainConfig(**base)
 
 
 def finetune_config(**overrides) -> TrainConfig:
@@ -115,15 +106,15 @@ class TrainLog:
 
 
 class AdamW:
-    """Decoupled weight decay, bias-corrected moments, optional global-norm
-    gradient clipping applied before the moment update."""
+    """Decoupled weight decay, bias-corrected moments, global-norm gradient
+    clipping applied before the moment update."""
 
     def __init__(
         self,
         params: dict[str, Tensor],
         lr: float,
         weight_decay: float,
-        grad_clip: float | None = 1.0,
+        grad_clip: float = 1.0,
     ):
         if not params:
             raise ValueError("optimizer needs at least one parameter")
@@ -148,11 +139,10 @@ class AdamW:
             if not np.isfinite(t.grad).all():
                 raise FloatingPointError(f"non-finite gradient in {name}")
             grads.append(t.grad)
-        if self.grad_clip is not None:
-            total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
-            if total > self.grad_clip:
-                scale = self.grad_clip / total
-                grads = [g * scale for g in grads]
+        total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+        if total > self.grad_clip:
+            scale = self.grad_clip / total
+            grads = [g * scale for g in grads]
         self._t += 1
         c1 = 1.0 - BETA1**self._t
         c2 = 1.0 - BETA2**self._t
@@ -221,7 +211,7 @@ def _fit(model, config, checkpoint_path, rows, batch_loss, validate, monitor) ->
     valid_accuracy), and stop after `patience` epochs without one. The
     model keeps the last epoch's weights."""
     trainable = apply_freeze(model, config.freeze)
-    opt = AdamW(trainable, config.lr, config.weight_decay, config.grad_clip)
+    opt = AdamW(trainable, config.lr, config.weight_decay)
     log = TrainLog(monitor=monitor)
     best = np.inf
     bad = 0

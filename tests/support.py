@@ -27,10 +27,7 @@ def widen(model):
 def unfused_attention(q, k, v, rel, key_bias, scaling, p, seed, training):
     """The chain autodiff.attention replaces, with its signature:
     attention_scores -> softmax -> dropout -> matmul."""
-    steps = q.data.shape[-2]
-    clip = (rel.data.shape[0] - 1) // 2
-    index = np.clip(np.arange(steps)[None, :] - np.arange(steps)[:, None], -clip, clip) + clip
-    scores = ad.attention_scores(q, k, rel, index, key_bias, scaling)
+    scores = ad.attention_scores(q, k, rel, key_bias, scaling)
     return ad.matmul(ad.dropout(ad.softmax(scores), p, seed, training), v)
 
 

@@ -6,6 +6,8 @@ inspect stderr.
 
 from __future__ import annotations
 
+import csv
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +53,14 @@ class TestSynth:
         assert "command = synth" in config
         assert "version = " in config
 
+    def test_config_file_digest_recorded(self, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("pieces = 2\n")
+        out = tmp_path / "configured"
+        assert run("synth", "--task", "emotion", "--out", out, "--config", cfg) == 0
+        config = (out / "run_config.txt").read_text().splitlines()
+        assert f"sha256_config = {hashlib.sha256(cfg.read_bytes()).hexdigest()}" in config
+
     def test_sequence_task_gets_seq_labels(self, tmp_path):
         out = tmp_path / "emo"
         assert run("synth", "--task", "emotion", "--out", out, "--pieces", 4) == 0
@@ -90,7 +100,7 @@ class TestPrepare:
         assert (store / "manifest.csv").exists()
         assert (store / "note_labels.csv").exists()
         loaded = corpus.load_store(store / "chunks.jsonl")
-        assert len(loaded.piece_ids()) == 5
+        assert len({c.piece_id for c in loaded.chunks}) == 5
         manifest = corpus.read_manifest(store / "manifest.csv")
         assert sorted(manifest.values()).count("train") == 3
 
@@ -112,7 +122,7 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert code == 0
         assert "skipped broken.mid" in err
-        assert len(corpus.load_store(store / "chunks.jsonl").piece_ids()) == 5
+        assert len({c.piece_id for c in corpus.load_store(store / "chunks.jsonl").chunks}) == 5
         assert run(
             "prepare", "--midi", midi, "--task", "melody",
             "--out", tmp_path / "strict",
@@ -131,7 +141,19 @@ class TestPrepare:
                    "--note-labels", cut, "--ratios", "3,1,1")
         assert code == 0
         assert "melody_0000" in capsys.readouterr().err
-        assert len(corpus.load_store(store / "chunks.jsonl").piece_ids()) == 4
+        assert len({c.piece_id for c in corpus.load_store(store / "chunks.jsonl").chunks}) == 4
+
+    def test_repeated_label_row_is_data_error(self, tmp_path, capsys):
+        midi = make_melody_corpus(tmp_path)
+        labels = midi / "note_labels.csv"
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text(labels.read_text() + "melody_0000,0,bridge\n")
+        store = tmp_path / "never"
+        assert run("prepare", "--midi", midi, "--task", "melody", "--out", store,
+                   "--note-labels", repeated, "--ratios", "3,1,1") == 2
+        err = capsys.readouterr().err
+        assert "repeated.csv: piece 'melody_0000' repeats note_index 0" in err
+        assert not store.exists()
 
     def test_velocity_needs_no_label_file(self, tmp_path):
         midi = tmp_path / "vel"
@@ -377,6 +399,27 @@ class TestSkyline:
         assert set(l.rsplit(",", 1)[1] for l in lines[1:]) <= {"melody", "non-melody"}
         assert not (out / "metrics.txt").exists()
 
+    def test_piece_id_with_comma_is_quoted(self, corpora, tmp_path):
+        midi = tmp_path / "midi"
+        midi.mkdir()
+        source = corpora["melody_midi"] / "melody_0000.mid"
+        (midi / "a,b.mid").write_bytes(source.read_bytes())
+        out = tmp_path / "sky3"
+        assert run("skyline", "--midi", midi, "--out", out) == 0
+        with open(out / "predictions.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["piece_id", "note_index", "label"]
+        assert len(rows) > 1 and all(len(row) == 3 and row[0] == "a,b" for row in rows[1:])
+
+    def test_config_file_digest_recorded(self, corpora, tmp_path):
+        cfg = tmp_path / "skyline.cfg"
+        cfg.write_text("# no settings\n")
+        out = tmp_path / "sky4"
+        assert run("skyline", "--midi", corpora["melody_midi"], "--out", out,
+                   "--config", cfg) == 0
+        config = (out / "run_config.txt").read_text().splitlines()
+        assert f"sha256_config = {hashlib.sha256(cfg.read_bytes()).hexdigest()}" in config
+
 
 class TestConfigFile:
     def test_config_supplies_values_flags_win(self, corpora, tmp_path):
@@ -434,7 +477,7 @@ class TestConfigFile:
             "finetune": ("finetune", "--task", "melody", "--data", corpora["melody_store"],
                          "--no-pretrain"),
         }
-        defaults = {"pretrain": train.pretrain_config(), "finetune": train.finetune_config()}
+        defaults = {"pretrain": train.TrainConfig(), "finetune": train.finetune_config()}
         for command, args in runs.items():
             out = tmp_path / command
             assert run(*args, "--out", out) == 0

@@ -22,7 +22,6 @@ from midibert.corpus import (
     LabeledPiece,
     Store,
     SynthSpec,
-    attach_note_labels,
     derive_velocity_labels,
     load_store,
     load_task_data,
@@ -89,23 +88,17 @@ class TestSplits:
         with pytest.raises(ValueError):
             make_splits(ids, ratios, seed=0)
 
-    def test_split_of(self):
-        m = make_splits([f"p{i}" for i in range(10)], (8, 1, 1), seed=3)
-        assert m.split_of(m.valid[0]) == "valid"
-        with pytest.raises(KeyError):
-            m.split_of("nope")
-
 
 class TestLabeledPiece:
     def test_count_mismatch_names_piece(self):
         score = make_score("pop_042", [QuantNote(0, 1, 60, 4), QuantNote(0, 5, 64, 4)])
         with pytest.raises(ValueError, match="pop_042.*2 notes.*1 labels"):
-            attach_note_labels(score, [0], task("melody"))
+            LabeledPiece(score=score, task=task("melody"), note_labels=(0,))
 
     def test_label_out_of_range(self):
         score = make_score("s", [QuantNote(0, 1, 60, 4)])
         with pytest.raises(ValueError, match="outside 0..2"):
-            attach_note_labels(score, [7], task("melody"))
+            LabeledPiece(score=score, task=task("melody"), note_labels=(7,))
 
     def test_sequence_label_required(self):
         score = make_score("s", [QuantNote(0, 1, 60, 4)])
@@ -496,6 +489,12 @@ class TestCsvFiles:
         with pytest.raises(ValueError, match="gaps"):
             read_note_labels(path, task("melody"))
 
+    def test_note_label_repeated_note_rejected(self, tmp_path):
+        path = tmp_path / "note_labels.csv"
+        path.write_text("piece_id,note_index,label\na,0,melody\na,1,bridge\na,0,bridge\n")
+        with pytest.raises(ValueError, match=r"note_labels\.csv: piece 'a' repeats note_index 0"):
+            read_note_labels(path, task("melody"))
+
     def test_seq_labels_round_trip(self, tmp_path):
         composer = task("composer")
         labels = {"x": 7, "y": 0}
@@ -521,6 +520,12 @@ class TestCsvFiles:
         with pytest.raises(ValueError, match="expected header"):
             read_seq_labels(path, task("emotion"))
 
+    def test_seq_label_repeated_piece_rejected(self, tmp_path):
+        path = tmp_path / "seq_labels.csv"
+        path.write_text("piece_id,label\nx,0\ny,1\nx,2\n")
+        with pytest.raises(ValueError, match=r"seq_labels\.csv: piece 'x' is listed twice"):
+            read_seq_labels(path, task("emotion"))
+
     def test_manifest_round_trip(self, tmp_path):
         m = make_splits([f"p{i}" for i in range(10)], (8, 1, 1), seed=0)
         path = tmp_path / "manifest.csv"
@@ -534,6 +539,12 @@ class TestCsvFiles:
         path = tmp_path / "manifest.csv"
         path.write_text("piece_id,split\np,holdout\n")
         with pytest.raises(ValueError, match="unknown split"):
+            read_manifest(path)
+
+    def test_manifest_repeated_piece_rejected(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        path.write_text("piece_id,split\np,train\nq,valid\np,test\n")
+        with pytest.raises(ValueError, match=r"manifest\.csv: piece 'p' is listed twice"):
             read_manifest(path)
 
 
@@ -552,18 +563,19 @@ class TestTaskData:
         return corpus, manifest
 
     def test_assembles(self, tmp_path):
-        corpus, manifest = self.write_melody_dir(tmp_path)
+        corpus, _ = self.write_melody_dir(tmp_path)
         data = load_task_data(tmp_path)
+        splits = read_manifest(tmp_path / "manifest.csv")
         assert data.task.name == "melody"
         assert data.ids.shape[0] == len(data.piece_ids) == data.note_labels.shape[0]
         for split_name in ("train", "valid", "test"):
             for i in data.indices(split_name):
-                assert manifest.split_of(data.piece_ids[i]) == split_name
+                assert splits[data.piece_ids[i]] == split_name
         labeled = data.note_labels != IGNORE_LABEL
         assert labeled.sum() == sum(len(p.score.notes) for p in corpus)
 
     def test_groups_chunks_without_per_piece_scans(self, tmp_path, monkeypatch):
-        corpus, manifest = self.write_melody_dir(tmp_path)
+        corpus, _ = self.write_melody_dir(tmp_path)
         chunks = load_store(tmp_path / "chunks.jsonl").chunks
 
         def scan(self, piece_id):
@@ -581,7 +593,8 @@ class TestTaskData:
             )
         ]
         assert np.array_equal(data.note_labels, np.stack(expected_labels))
-        expected_splits = [SPLIT_NAMES.index(manifest.split_of(c.piece_id)) for c in chunks]
+        splits = read_manifest(tmp_path / "manifest.csv")
+        expected_splits = [SPLIT_NAMES.index(splits[c.piece_id]) for c in chunks]
         assert data.split_of.tolist() == expected_splits
 
     def test_missing_manifest_entry_rejected(self, tmp_path):

@@ -50,11 +50,6 @@ class TestAccuracy:
         with pytest.raises(ValueError, match="labeled"):
             evaluate.accuracy(np.zeros(2), np.full(2, IGNORE_LABEL))
 
-    def test_ignore_none_counts_all(self):
-        preds = np.array([-1, 5])
-        labels = np.array([-1, 4])
-        assert evaluate.accuracy(preds, labels, ignore_label=None) == 0.5
-
 
 class TestConfusion:
     def test_hand_counted_table(self):

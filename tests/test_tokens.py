@@ -203,7 +203,9 @@ class TestChunk:
         seen = []
         for c in chunks:
             for step, note_index in c.note_positions:
-                token = voc.decode_ids(c.ids[step])
+                token = SuperToken(
+                    *(voc.id_to_value[f][i] for f, i in zip(CP_FIELDS, c.ids[step]))
+                )
                 note = score.notes[note_index]
                 assert (token.sub_beat, token.pitch, token.duration) == (
                     note.sub_beat, note.pitch, note.duration_units)

@@ -3,6 +3,8 @@ and small end-to-end runs that actually have to learn something."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -50,12 +52,12 @@ def varied_ids(rng, n):
 
 class TestTrainConfig:
     def test_defaults_match_contract(self):
-        cfg = train.pretrain_config()
+        cfg = train.TrainConfig()
         assert (cfg.batch_size, cfg.lr, cfg.weight_decay) == (12, 2e-5, 0.01)
         assert (cfg.max_epochs, cfg.patience) == (500, 30)
         ft = train.finetune_config()
         assert (ft.max_epochs, ft.patience) == (10, 3)
-        assert ft.grad_clip == 1.0
+        assert train.AdamW({"w": tensor(np.ones(1))}, ft.lr, ft.weight_decay).grad_clip == 1.0
 
     def test_overrides(self):
         cfg = train.finetune_config(lr=1e-3, patience=2, freeze="backbone")
@@ -73,7 +75,6 @@ class TestTrainConfig:
             {"max_epochs": 0},
             {"seed": -1},
             {"freeze": "heads"},
-            {"grad_clip": 0.0},
             {"lr": float("nan")},
             {"lr": float("inf")},
             {"weight_decay": float("nan")},
@@ -91,7 +92,7 @@ class TestAdamW:
         rng = np.random.default_rng(0)
         p = tensor(rng.normal(size=(4, 3)), requires_grad=True)
         start = p.data.copy()
-        opt = train.AdamW({"w": p}, lr=0.1, weight_decay=0.01, grad_clip=None)
+        opt = train.AdamW({"w": p}, lr=0.1, weight_decay=0.01, grad_clip=math.inf)
         p.grad = np.zeros_like(start)
         opt.step()
         expected = start - 0.1 * (np.zeros_like(start) + 0.01 * start)
@@ -102,7 +103,7 @@ class TestAdamW:
         # so the update is c/(|c|+eps), i.e. sign(c) up to eps
         data = np.zeros(3)
         p = tensor(data.copy(), requires_grad=True)
-        opt = train.AdamW({"w": p}, lr=0.01, weight_decay=0.0, grad_clip=None)
+        opt = train.AdamW({"w": p}, lr=0.01, weight_decay=0.0, grad_clip=math.inf)
         grad = np.array([3.0, -0.5, 10.0])
         for step in range(1, 4):
             p.grad = grad.copy()
@@ -114,7 +115,7 @@ class TestAdamW:
     def test_quadratic_bowl_converges(self):
         rng = np.random.default_rng(1)
         p = tensor(rng.normal(size=10), requires_grad=True)
-        opt = train.AdamW({"w": p}, lr=0.05, weight_decay=0.0, grad_clip=None)
+        opt = train.AdamW({"w": p}, lr=0.05, weight_decay=0.0, grad_clip=math.inf)
         first = float((p.data**2).mean())
         for _ in range(100):
             loss = ad.mean(ad.mul(p, p))
@@ -141,7 +142,7 @@ class TestAdamW:
 
         b1 = tensor(np.ones(5), requires_grad=True)
         b2 = tensor(np.ones((2, 3)), requires_grad=True)
-        plain = train.AdamW({"a": b1, "b": b2}, lr=0.01, weight_decay=0.01, grad_clip=None)
+        plain = train.AdamW({"a": b1, "b": b2}, lr=0.01, weight_decay=0.01, grad_clip=math.inf)
         b1.grad, b2.grad = g1 * scale, g2 * scale
         plain.step()
 
@@ -155,7 +156,7 @@ class TestAdamW:
         a.grad = g.copy()
         with_clip.step()
         b = tensor(np.ones(4), requires_grad=True)
-        without = train.AdamW({"w": b}, lr=0.01, weight_decay=0.0, grad_clip=None)
+        without = train.AdamW({"w": b}, lr=0.01, weight_decay=0.0, grad_clip=math.inf)
         b.grad = g.copy()
         without.step()
         assert np.array_equal(a.data, b.data)
@@ -214,7 +215,7 @@ class TestPretrain:
     def test_requires_mlm_head_and_data(self, tmp_path):
         clf = M.EncoderModel(tiny_config(head="note", num_classes=3))
         ids = ostinato_ids(4)
-        cfg = train.pretrain_config(batch_size=2, max_epochs=1, patience=1)
+        cfg = train.TrainConfig(batch_size=2, max_epochs=1, patience=1)
         with pytest.raises(ValueError, match="mlm"):
             train.pretrain(clf, ids, ids, cfg, tmp_path / "c.ckpt")
         mlm = M.EncoderModel(tiny_config())
@@ -226,7 +227,7 @@ class TestPretrain:
     def test_two_runs_same_seed_identical(self, tmp_path):
         rng = np.random.default_rng(3)
         data = varied_ids(rng, 10)
-        cfg = train.pretrain_config(batch_size=4, lr=3e-4, max_epochs=2, patience=2, seed=11)
+        cfg = train.TrainConfig(batch_size=4, lr=3e-4, max_epochs=2, patience=2, seed=11)
         logs = []
         for tag in ("a", "b"):
             m = M.EncoderModel(tiny_config())
@@ -240,7 +241,7 @@ class TestPretrain:
         data = varied_ids(rng, 10)
         texts = []
         for seed in (11, 12):
-            cfg = train.pretrain_config(batch_size=4, lr=3e-4, max_epochs=2, patience=2, seed=seed)
+            cfg = train.TrainConfig(batch_size=4, lr=3e-4, max_epochs=2, patience=2, seed=seed)
             m = M.EncoderModel(tiny_config())
             texts.append(train.pretrain(m, data[:6], data[6:], cfg, tmp_path / "x.ckpt").csv_text())
         assert texts[0] != texts[1]
@@ -249,7 +250,7 @@ class TestPretrain:
         # every row repeats one motif, so context determines each token;
         # run length chosen from a pilot (full cloze by ~epoch 65 at this lr)
         data = ostinato_ids(16)
-        cfg = train.pretrain_config(batch_size=4, lr=5e-3, max_epochs=70, patience=70, seed=5)
+        cfg = train.TrainConfig(batch_size=4, lr=5e-3, max_epochs=70, patience=70, seed=5)
         m = M.EncoderModel(tiny_config())
         log = train.pretrain(m, data[:12], data[12:], cfg, tmp_path / "m.ckpt")
         first, best = log.rows[0], log.best_row()
@@ -260,7 +261,7 @@ class TestPretrain:
     def test_saved_checkpoint_matches_best_epoch(self, tmp_path):
         rng = np.random.default_rng(4)
         data = varied_ids(rng, 8)
-        cfg = train.pretrain_config(batch_size=4, lr=3e-4, max_epochs=3, patience=3, seed=2)
+        cfg = train.TrainConfig(batch_size=4, lr=3e-4, max_epochs=3, patience=3, seed=2)
         m = M.EncoderModel(tiny_config())
         log = train.pretrain(m, data[:6], data[6:], cfg, tmp_path / "best.ckpt")
         best = M.load_checkpoint(tmp_path / "best.ckpt")
@@ -275,7 +276,7 @@ class TestPretrain:
         # lr too small to move float32 forward results: epoch 1 stays the
         # best and every later epoch evaluates to the same validation loss
         data = ostinato_ids(6)
-        cfg = train.pretrain_config(batch_size=3, lr=1e-30, max_epochs=10, patience=3, seed=0)
+        cfg = train.TrainConfig(batch_size=3, lr=1e-30, max_epochs=10, patience=3, seed=0)
         m = M.EncoderModel(tiny_config())
         log = train.pretrain(m, data[:3], data[3:], cfg, tmp_path / "stop.ckpt")
         assert log.best_epoch == 1
@@ -285,7 +286,7 @@ class TestPretrain:
 
     def test_nonfinite_gradient_names_epoch_and_batch(self, tmp_path, monkeypatch):
         data = ostinato_ids(6)
-        cfg = train.pretrain_config(batch_size=2, lr=1e-3, max_epochs=2, patience=2, seed=0)
+        cfg = train.TrainConfig(batch_size=2, lr=1e-3, max_epochs=2, patience=2, seed=0)
         m = M.EncoderModel(tiny_config())
         backward, steps = ad.backward, []
 
@@ -305,7 +306,7 @@ class TestPretrain:
     def test_runs_to_max_epochs_without_stopping(self, tmp_path):
         rng = np.random.default_rng(5)
         data = varied_ids(rng, 8)
-        cfg = train.pretrain_config(batch_size=4, lr=3e-4, max_epochs=2, patience=2, seed=1)
+        cfg = train.TrainConfig(batch_size=4, lr=3e-4, max_epochs=2, patience=2, seed=1)
         m = M.EncoderModel(tiny_config())
         log = train.pretrain(m, data[:6], data[6:], cfg, tmp_path / "full.ckpt")
         assert len(log.rows) == 2
