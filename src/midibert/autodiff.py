@@ -139,18 +139,6 @@ def add_const(a: Tensor, c) -> Tensor:
     return _result(a.data + c, (a,), rule)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-
-    def rule(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
-
-    return _result(out_data, (a, b), rule)
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     def rule(g):
         _accumulate(a, g * s, owned=True)
@@ -204,15 +192,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, rule)
 
 
-def mean(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def rule(g):
-        _accumulate(a, np.full_like(a.data, float(g) / n), owned=True)
-
-    return _result(np.mean(a.data), (a,), rule)
-
-
 # --- nonlinearities ----------------------------------------------------------
 
 def relu(a: Tensor) -> Tensor:
@@ -239,15 +218,6 @@ def gelu(a: Tensor) -> Tensor:
         _accumulate(a, g * local, owned=True)
 
     return _result(0.5 * x * (1.0 + t), (a,), rule)
-
-
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-
-    def rule(g):
-        _accumulate(a, g * (1.0 - t * t), owned=True)
-
-    return _result(t, (a,), rule)
 
 
 def softmax(a: Tensor) -> Tensor:

@@ -268,27 +268,16 @@ def cmd_synth(options: dict) -> int:
     write_run_config(out_dir, options, {})
     for piece in pieces:
         (out_dir / f"{piece.piece_id}.mid").write_bytes(smf.write_smf(piece.score))
-    task_spec = corpus.task(options["task"])
-    if task_spec.level == "note" and options["task"] != "velocity":
-        corpus.write_note_labels(
-            out_dir / "note_labels.csv",
-            {p.piece_id: p.note_labels for p in pieces},
-            task_spec,
-        )
-    elif task_spec.level == "sequence":
-        corpus.write_seq_labels(
-            out_dir / "seq_labels.csv",
-            {p.piece_id: p.sequence_label for p in pieces},
-            task_spec,
-        )
+    if options["task"] != "velocity":  # prepare derives velocity labels from the notes
+        corpus.write_labels(out_dir, pieces, corpus.task(options["task"]))
     _progress(f"wrote {len(pieces)} pieces to {out_dir}")
     return EXIT_OK
 
 
 # --- prepare ---------------------------------------------------------------------
 
-def _parse_midi_dir(midi_dir: Path, strict: bool):
-    """Parse every .mid in name order; returns (scores, failures)."""
+def _parse_midi_dir(midi_dir: Path, strict: bool) -> list[smf.Score]:
+    """Parse every .mid in name order; one that fails is reported and dropped unless strict."""
     files = sorted(midi_dir.glob("*.mid"))
     if not files:
         raise ValueError(f"{midi_dir}: no .mid files")
@@ -302,51 +291,40 @@ def _parse_midi_dir(midi_dir: Path, strict: bool):
         print(f"skipped {name}: {message}", file=sys.stderr)
     if failures and strict:
         raise ValueError(f"{len(failures)} file(s) failed to parse (strict mode)")
-    return scores, failures
+    return scores
 
 
 def _label_pieces(scores, task_spec, options, strict: bool):
-    """Attach labels per task; a piece that cannot be labeled is reported
-    and dropped unless strict."""
-    note_map = seq_map = None
-    if options["task"] == "melody":
-        if not options.get("note_labels"):
-            raise UsageError("--task melody needs --note-labels")
-        note_map = corpus.read_note_labels(options["note_labels"], task_spec)
-    elif task_spec.level == "sequence":
-        if not options.get("seq_labels"):
-            raise UsageError(f"--task {options['task']} needs --seq-labels")
-        seq_map = corpus.read_seq_labels(options["seq_labels"], task_spec)
+    """Label each score from its task's one source: velocity from the notes'
+    dynamics, melody from --note-labels, composer and emotion from --seq-labels.
+    A piece with no notes or no label is reported and dropped unless strict."""
+    if task_spec.name == "velocity":
+        def labels_of(score):
+            return {"note_labels": corpus.derive_velocity_labels(score)}
+    elif task_spec.level == "none":
+        def labels_of(score):
+            return {}
+    else:
+        flag, read, field, what = (
+            ("note_labels", corpus.read_note_labels, "note_labels", "note labels")
+            if task_spec.level == "note"
+            else ("seq_labels", corpus.read_seq_labels, "sequence_label", "sequence label")
+        )
+        if not options.get(flag):
+            raise UsageError(f"--task {task_spec.name} needs --{flag.replace('_', '-')}")
+        table = read(options[flag], task_spec)
+
+        def labels_of(score):
+            if score.source_id not in table:
+                raise ValueError(f"piece {score.source_id!r}: no {what}")
+            return {field: table[score.source_id]}
 
     pieces, failures = [], []
     for score in scores:
         try:
-            if options["task"] == "pretrain":
-                pieces.append(corpus.LabeledPiece(score=score, task=task_spec))
-            elif options["task"] == "velocity":
-                pieces.append(
-                    corpus.LabeledPiece(
-                        score=score, task=task_spec,
-                        note_labels=corpus.derive_velocity_labels(score),
-                    )
-                )
-            elif options["task"] == "melody":
-                if score.source_id not in note_map:
-                    raise ValueError(f"piece {score.source_id!r}: no note labels")
-                pieces.append(
-                    corpus.LabeledPiece(
-                        score=score, task=task_spec, note_labels=note_map[score.source_id],
-                    )
-                )
-            else:
-                if score.source_id not in seq_map:
-                    raise ValueError(f"piece {score.source_id!r}: no sequence label")
-                pieces.append(
-                    corpus.LabeledPiece(
-                        score=score, task=task_spec,
-                        sequence_label=seq_map[score.source_id],
-                    )
-                )
+            if not score.notes:
+                raise ValueError("no notes")
+            pieces.append(corpus.LabeledPiece(score=score, task=task_spec, **labels_of(score)))
         except ValueError as exc:
             failures.append((score.source_id, str(exc)))
     for name, message in failures:
@@ -362,7 +340,7 @@ def cmd_prepare(options: dict) -> int:
         options.get("note_labels") or options.get("seq_labels")
     ):
         raise UsageError(f"--task {options['task']} does not take label files")
-    scores, _ = _parse_midi_dir(Path(options["midi"]), options["strict"])
+    scores = _parse_midi_dir(Path(options["midi"]), options["strict"])
     pieces = _label_pieces(scores, task_spec, options, options["strict"])
     if not pieces:
         raise ValueError("no usable pieces")
@@ -381,18 +359,7 @@ def cmd_prepare(options: dict) -> int:
         representation=options["representation"], task_name=options["task"],
     )
     corpus.write_manifest(out_dir / "manifest.csv", manifest)
-    if task_spec.level == "note":
-        corpus.write_note_labels(
-            out_dir / "note_labels.csv",
-            {p.piece_id: p.note_labels for p in pieces},
-            task_spec,
-        )
-    elif task_spec.level == "sequence":
-        corpus.write_seq_labels(
-            out_dir / "seq_labels.csv",
-            {p.piece_id: p.sequence_label for p in pieces},
-            task_spec,
-        )
+    corpus.write_labels(out_dir, pieces, task_spec)
     _progress(
         f"store {out_dir}: {len(pieces)} pieces, {len(chunks)} chunks, "
         f"splits {manifest.sizes}"
@@ -495,10 +462,9 @@ def cmd_finetune(options: dict) -> int:
     data = corpus.load_task_data(store_dir)
     if data.task.name != options["task"]:
         raise ValueError(f"store {store_dir} holds task {data.task.name!r}, not {options['task']!r}")
-    head = "note" if data.task.level == "note" else "seq"
     model = M.EncoderModel(
         M.PRESETS[options["preset"]](
-            representation=data.representation, head=head,
+            representation=data.representation, head=data.task.head,
             num_classes=data.task.num_classes, init_seed=options["seed"],
         )
     )
@@ -569,7 +535,7 @@ def cmd_eval(options: dict) -> int:
 # --- skyline ---------------------------------------------------------------------
 
 def cmd_skyline(options: dict) -> int:
-    scores, _ = _parse_midi_dir(Path(options["midi"]), strict=False)
+    scores = _parse_midi_dir(Path(options["midi"]), strict=False)
     if not scores:
         raise ValueError("no usable pieces")
     out_dir = Path(options["out"])

@@ -15,20 +15,13 @@ import csv
 import json
 import re
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .smf import (
-    PITCH_MAX,
-    PITCH_MIN,
-    SUB_BEATS_PER_BAR,
-    QuantNote,
-    Score,
-    note_sort_key,
-)
+from .smf import PITCH_MAX, PITCH_MIN, SUB_BEATS_PER_BAR, QuantNote, Score, make_score
 from .tokens import CHUNK_LEN, ChunkedSequence, chunk, encode_cp, encode_remi, vocab
 
 IGNORE_LABEL = -1
@@ -48,6 +41,11 @@ class TaskSpec:
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
+
+    @property
+    def head(self) -> str:
+        """The model head that learns this task."""
+        return {"note": "note", "sequence": "seq", "none": "mlm"}[self.level]
 
     def label_from(self, text: str) -> int:
         if text in self.class_names:
@@ -205,6 +203,8 @@ class SynthSpec:
         task(self.task)
         if self.style != "default" and self.task != "pretrain":
             raise ValueError(f"style {self.style!r} applies only to the pretrain task")
+        if self.style not in ("default", "pop", "ostinato"):
+            raise ValueError(f"unknown pretrain style {self.style!r}")
 
 
 def synth_corpus(spec: SynthSpec, seed: int) -> list[LabeledPiece]:
@@ -219,14 +219,30 @@ def synth_corpus(spec: SynthSpec, seed: int) -> list[LabeledPiece]:
     return [builders[spec.task](spec, i, rng) for i in range(spec.pieces)]
 
 
-def _sorted_with_labels(
-    source_id: str, pairs: list[tuple[QuantNote, int]]
-) -> tuple[Score, tuple[int, ...]]:
-    pairs = sorted(pairs, key=lambda p: note_sort_key(p[0]))
-    notes = tuple(n for n, _ in pairs)
-    num_bars = notes[-1].onset_sub_beats // SUB_BEATS_PER_BAR + 1 if notes else 0
-    score = Score(source_id=source_id, notes=notes, num_bars=num_bars)
-    return score, tuple(l for _, l in pairs)
+def _draw_notes(
+    rng: np.random.Generator,
+    bars: Iterable[int],
+    count: int,
+    draw_pitch: Callable[[], int],
+    durations: list[int],
+    velocity_of_sub_beat: tuple[int | None, ...] = (None,) * SUB_BEATS_PER_BAR,
+) -> list[QuantNote]:
+    """`count` draws per bar of a sub-beat, then a pitch, then, only when
+    that (sub-beat, pitch) is new in the bar, a duration. The draw order is
+    what fixes a seed's corpus."""
+    notes = []
+    for bar in bars:
+        taken: set[tuple[int, int]] = set()
+        for _ in range(count):
+            sub_beat = int(rng.integers(1, SUB_BEATS_PER_BAR + 1))
+            pitch = draw_pitch()
+            if (sub_beat, pitch) in taken:
+                continue
+            taken.add((sub_beat, pitch))
+            notes.append(QuantNote(
+                bar, sub_beat, pitch, int(rng.choice(durations)), velocity_of_sub_beat[sub_beat - 1]
+            ))
+    return notes
 
 
 def _tile_bar_durations(rng: np.random.Generator) -> list[int]:
@@ -246,30 +262,24 @@ def _synth_melody(spec: SynthSpec, index: int, rng: np.random.Generator) -> Labe
     accompaniment sits strictly below it, so the top line is the melody both
     by label and by the skyline rule."""
     melody_task = task("melody")
-    melody_label = melody_task.class_names.index("melody")
-    accomp_label = melody_task.class_names.index("accompaniment")
-    pairs: list[tuple[QuantNote, int]] = []
+    melody_notes: list[QuantNote] = []
+    accompaniment: list[QuantNote] = []
     pitch = int(rng.integers(76, 92))
     for bar in range(spec.bars_per_piece):
         unit = 0
         durations = _tile_bar_durations(rng)
         for duration in durations:
             pitch = int(np.clip(pitch + rng.integers(-4, 5), 72, 96))
-            pairs.append(
-                (QuantNote(bar, unit // 2 + 1, pitch, duration), melody_label)
-            )
+            melody_notes.append(QuantNote(bar, unit // 2 + 1, pitch, duration))
             unit += duration
-        taken: set[tuple[int, int]] = set()
-        for _ in range(max(1, spec.notes_per_bar - len(durations))):
-            sub_beat = int(rng.integers(1, SUB_BEATS_PER_BAR + 1))
-            low = int(rng.integers(36, 61))
-            if (sub_beat, low) in taken:
-                continue
-            taken.add((sub_beat, low))
-            pairs.append(
-                (QuantNote(bar, sub_beat, low, int(rng.choice([2, 4, 6, 8, 12]))), accomp_label)
-            )
-    score, labels = _sorted_with_labels(f"melody_{index:04d}", pairs)
+        accompaniment += _draw_notes(
+            rng, [bar], max(1, spec.notes_per_bar - len(durations)),
+            lambda: int(rng.integers(36, 61)), [2, 4, 6, 8, 12],
+        )
+    score = make_score(f"melody_{index:04d}", melody_notes + accompaniment)
+    melody_label, accomp_label = map(melody_task.class_names.index, ("melody", "accompaniment"))
+    melody = set(melody_notes)  # the registers are disjoint, so no note is in both voices
+    labels = tuple(melody_label if n in melody else accomp_label for n in score.notes)
     return LabeledPiece(score=score, task=melody_task, note_labels=labels)
 
 
@@ -279,22 +289,12 @@ _VELOCITY_OF_SUB_BEAT = tuple((s * 5) % 6 for s in range(SUB_BEATS_PER_BAR))
 def _synth_velocity(spec: SynthSpec, index: int, rng: np.random.Generator) -> LabeledPiece:
     """Dynamics are a fixed function of the metrical position, so the class
     is predictable from the tokens alone."""
-    velocity_task = task("velocity")
-    pairs: list[tuple[QuantNote, int]] = []
-    for bar in range(spec.bars_per_piece):
-        taken: set[tuple[int, int]] = set()
-        for _ in range(spec.notes_per_bar):
-            sub_beat = int(rng.integers(1, SUB_BEATS_PER_BAR + 1))
-            pitch = int(rng.integers(40, 90))
-            if (sub_beat, pitch) in taken:
-                continue
-            taken.add((sub_beat, pitch))
-            cls = _VELOCITY_OF_SUB_BEAT[sub_beat - 1]
-            pairs.append(
-                (QuantNote(bar, sub_beat, pitch, int(rng.choice([2, 4, 8])), velocity_class=cls), cls)
-            )
-    score, labels = _sorted_with_labels(f"velocity_{index:04d}", pairs)
-    return LabeledPiece(score=score, task=velocity_task, note_labels=labels)
+    notes = _draw_notes(
+        rng, range(spec.bars_per_piece), spec.notes_per_bar,
+        lambda: int(rng.integers(40, 90)), [2, 4, 8], _VELOCITY_OF_SUB_BEAT,
+    )
+    score = make_score(f"velocity_{index:04d}", notes)
+    return LabeledPiece(score=score, task=task("velocity"), note_labels=derive_velocity_labels(score))
 
 
 def _synth_classified(spec: SynthSpec, index: int, rng: np.random.Generator) -> LabeledPiece:
@@ -306,19 +306,12 @@ def _synth_classified(spec: SynthSpec, index: int, rng: np.random.Generator) -> 
     root = (k * 5) % 12
     scale = [(root + offset) % 12 for offset in (0, 2, 4, 7, 9)]
     density = max(2, spec.notes_per_bar + (k % 3) - 1)
-    pairs: list[tuple[QuantNote, int]] = []
-    for bar in range(spec.bars_per_piece):
-        taken: set[tuple[int, int]] = set()
-        for _ in range(density):
-            sub_beat = int(rng.integers(1, SUB_BEATS_PER_BAR + 1))
-            pitch_class = int(rng.choice(scale))
-            octave = int(rng.integers(4, 7))  # MIDI 48..83
-            pitch = 12 * octave + pitch_class
-            if (sub_beat, pitch) in taken:
-                continue
-            taken.add((sub_beat, pitch))
-            pairs.append((QuantNote(bar, sub_beat, pitch, int(rng.choice([2, 4, 8, 16]))), k))
-    score, _ = _sorted_with_labels(f"{spec.task}_{index:04d}", pairs)
+    notes = _draw_notes(
+        rng, range(spec.bars_per_piece), density,
+        lambda: int(rng.choice(scale)) + 12 * int(rng.integers(4, 7)),  # degree, then octave
+        [2, 4, 8, 16],
+    )
+    score = make_score(f"{spec.task}_{index:04d}", notes)
     return LabeledPiece(score=score, task=task_spec, sequence_label=k)
 
 
@@ -334,32 +327,17 @@ _OSTINATO_PATTERNS = tuple(
 
 
 def _synth_pretrain(spec: SynthSpec, index: int, rng: np.random.Generator) -> LabeledPiece:
-    pretrain_task = task("pretrain")
-    notes: list[QuantNote] = []
+    bars = range(spec.bars_per_piece)
     if spec.style == "ostinato":
         pattern = _OSTINATO_PATTERNS[index % len(_OSTINATO_PATTERNS)]
-        for bar in range(spec.bars_per_piece):
-            for sub_beat, pitch, duration in pattern:
-                notes.append(QuantNote(bar, sub_beat, pitch, duration))
-    elif spec.style in ("pop", "default"):
-        taken: set[tuple[int, int]] = set()
-        for bar in range(spec.bars_per_piece):
-            for _ in range(spec.notes_per_bar):
-                sub_beat = int(rng.integers(1, SUB_BEATS_PER_BAR + 1))
-                pitch = int(rng.integers(PITCH_MIN + 8, PITCH_MAX - 8))
-                if (bar * SUB_BEATS_PER_BAR + sub_beat, pitch) in taken:
-                    continue
-                taken.add((bar * SUB_BEATS_PER_BAR + sub_beat, pitch))
-                notes.append(QuantNote(bar, sub_beat, pitch, int(rng.choice([1, 2, 4, 8]))))
-    else:
-        raise ValueError(f"unknown pretrain style {spec.style!r}")
-    notes.sort(key=note_sort_key)
-    score = Score(
-        source_id=f"{spec.style}_{index:04d}",
-        notes=tuple(notes),
-        num_bars=spec.bars_per_piece,
-    )
-    return LabeledPiece(score=score, task=pretrain_task)
+        notes = [QuantNote(bar, *note) for bar in bars for note in pattern]
+    else:  # "pop" and "default"
+        notes = _draw_notes(
+            rng, bars, spec.notes_per_bar,
+            lambda: int(rng.integers(PITCH_MIN + 8, PITCH_MAX - 8)), [1, 2, 4, 8],
+        )
+    score = make_score(f"{spec.style}_{index:04d}", notes, spec.bars_per_piece)
+    return LabeledPiece(score=score, task=task("pretrain"))
 
 
 # --- chunk store -----------------------------------------------------------------
@@ -546,13 +524,35 @@ def _read_rows(path: str | Path, header: tuple[str, ...]) -> Iterator[list[str]]
         yield from reader
 
 
-def write_note_labels(path: str | Path, labels: dict[str, tuple[int, ...]], task_spec: TaskSpec) -> None:
+def _write_rows(path: str | Path, header: tuple[str, ...], rows: Iterable[list]) -> None:
+    """A CSV file of `header`, then `rows`: the layout _read_rows reads."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(NOTE_LABEL_HEADER)
-        for piece_id in sorted(labels):
-            for note_index, label in enumerate(labels[piece_id]):
-                writer.writerow([piece_id, note_index, task_spec.class_names[label]])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+# the label file of each labeled level, in a task's store and in a synth corpus
+_LABEL_FILES = {"note": "note_labels.csv", "sequence": "seq_labels.csv"}
+
+
+def write_labels(out_dir: str | Path, pieces: list[LabeledPiece], task_spec: TaskSpec) -> None:
+    """The pieces' labels in their level's label file; pretrain has none."""
+    if task_spec.level == "none":
+        return
+    path = Path(out_dir) / _LABEL_FILES[task_spec.level]
+    if task_spec.level == "note":
+        write_note_labels(path, {p.piece_id: p.note_labels for p in pieces}, task_spec)
+    else:
+        write_seq_labels(path, {p.piece_id: p.sequence_label for p in pieces}, task_spec)
+
+
+def write_note_labels(path: str | Path, labels: dict[str, tuple[int, ...]], task_spec: TaskSpec) -> None:
+    _write_rows(path, NOTE_LABEL_HEADER, (
+        [piece_id, note_index, task_spec.class_names[label]]
+        for piece_id in sorted(labels)
+        for note_index, label in enumerate(labels[piece_id])
+    ))
 
 
 def read_note_labels(path: str | Path, task_spec: TaskSpec) -> dict[str, tuple[int, ...]]:
@@ -572,11 +572,9 @@ def read_note_labels(path: str | Path, task_spec: TaskSpec) -> dict[str, tuple[i
 
 
 def write_seq_labels(path: str | Path, labels: dict[str, int], task_spec: TaskSpec) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SEQ_LABEL_HEADER)
-        for piece_id in sorted(labels):
-            writer.writerow([piece_id, task_spec.class_names[labels[piece_id]]])
+    _write_rows(path, SEQ_LABEL_HEADER, (
+        [piece_id, task_spec.class_names[labels[piece_id]]] for piece_id in sorted(labels)
+    ))
 
 
 def read_seq_labels(path: str | Path, task_spec: TaskSpec) -> dict[str, int]:
@@ -589,12 +587,11 @@ def read_seq_labels(path: str | Path, task_spec: TaskSpec) -> dict[str, int]:
 
 
 def write_manifest(path: str | Path, manifest: SplitManifest) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(MANIFEST_HEADER)
-        for split_name, members in zip(SPLIT_NAMES, (manifest.train, manifest.valid, manifest.test)):
-            for piece_id in members:
-                writer.writerow([piece_id, split_name])
+    _write_rows(path, MANIFEST_HEADER, (
+        [piece_id, split_name]
+        for split_name, members in zip(SPLIT_NAMES, (manifest.train, manifest.valid, manifest.test))
+        for piece_id in members
+    ))
 
 
 def read_manifest(path: str | Path) -> dict[str, str]:
@@ -619,7 +616,6 @@ class TaskData:
     task: TaskSpec
     representation: str
     ids: np.ndarray
-    piece_ids: tuple[str, ...]
     split_of: np.ndarray                  # (N,) int8 into SPLIT_NAMES
     note_labels: np.ndarray | None = None  # (N, 512), IGNORE_LABEL off-note
     seq_labels: np.ndarray | None = None   # (N,)
@@ -634,16 +630,14 @@ def load_task_data(store_dir: str | Path) -> TaskData:
     task_spec = task(store.task_name)
     if task_spec.level == "none":
         raise ValueError(f"{store_dir}: store is a pretrain corpus, not a task corpus")
+    if not store.chunks:
+        raise ValueError(f"{store_dir}: store has no chunks")
     splits = read_manifest(store_dir / "manifest.csv")
 
-    note_label_map = None
-    seq_label_map = None
-    if task_spec.level == "note":
-        note_label_map = read_note_labels(store_dir / "note_labels.csv", task_spec)
-    else:
-        seq_label_map = read_seq_labels(store_dir / "seq_labels.csv", task_spec)
+    read_labels = read_note_labels if task_spec.level == "note" else read_seq_labels
+    label_map = read_labels(store_dir / _LABEL_FILES[task_spec.level], task_spec)
 
-    ids_rows, piece_row, split_row = [], [], []
+    ids_rows, split_row = [], []
     note_rows: list[np.ndarray] = []
     seq_rows: list[int] = []
     by_piece: dict[str, list[ChunkedSequence]] = {}
@@ -653,23 +647,21 @@ def load_task_data(store_dir: str | Path) -> TaskData:
         if piece_id not in splits:
             raise ValueError(f"{store_dir}: piece {piece_id!r} missing from manifest")
         if task_spec.level == "note":
-            if piece_id not in note_label_map:
+            if piece_id not in label_map:
                 raise ValueError(f"{store_dir}: piece {piece_id!r} missing note labels")
-            note_rows.extend(propagate_note_labels(note_label_map[piece_id], piece_chunks))
+            note_rows.extend(propagate_note_labels(label_map[piece_id], piece_chunks))
         else:
-            if piece_id not in seq_label_map:
+            if piece_id not in label_map:
                 raise ValueError(f"{store_dir}: piece {piece_id!r} missing sequence label")
-            seq_rows.extend([seq_label_map[piece_id]] * len(piece_chunks))
+            seq_rows.extend([label_map[piece_id]] * len(piece_chunks))
         for c in piece_chunks:
             ids_rows.append(c.ids)
-            piece_row.append(piece_id)
             split_row.append(SPLIT_NAMES.index(splits[piece_id]))
 
     return TaskData(
         task=task_spec,
         representation=store.representation,
         ids=np.stack(ids_rows),
-        piece_ids=tuple(piece_row),
         split_of=np.array(split_row, dtype=np.int8),
         note_labels=np.stack(note_rows) if note_rows else None,
         seq_labels=np.array(seq_rows, dtype=np.int64) if seq_rows else None,

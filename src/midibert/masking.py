@@ -39,7 +39,6 @@ class MaskedBatch:
     target_ids: np.ndarray
     loss_mask: np.ndarray
     modes: np.ndarray
-    rng_seed: int
 
 
 def content_steps(ids: np.ndarray, voc: Vocabulary) -> np.ndarray:
@@ -94,5 +93,4 @@ def corrupt(ids: np.ndarray, voc: Vocabulary, seed: int) -> MaskedBatch:
         target_ids=ids.copy(),
         loss_mask=selected,
         modes=modes,
-        rng_seed=seed,
     )

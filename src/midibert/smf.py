@@ -11,7 +11,7 @@ past a chunk boundary.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 SUB_BEATS_PER_BAR = 16
 DURATION_UNITS_PER_BAR = 32      # duration unit = half sub-beat
@@ -373,14 +373,6 @@ def quantize(raw_notes: list[RawNote], ticks_per_quarter: int, *, source_id: str
             )
         )
     return make_score(source_id, quantized)
-
-
-def strip_velocity(score: Score) -> Score:
-    return Score(
-        source_id=score.source_id,
-        notes=tuple(replace(n, velocity_class=None) for n in score.notes),
-        num_bars=score.num_bars,
-    )
 
 
 # --- writing ---------------------------------------------------------------

@@ -175,7 +175,6 @@ def _sub_batch(batch: masking.MaskedBatch, idx: slice) -> masking.MaskedBatch:
         target_ids=batch.target_ids[idx],
         loss_mask=batch.loss_mask[idx],
         modes=batch.modes[idx],
-        rng_seed=batch.rng_seed,
     )
 
 
@@ -290,17 +289,14 @@ def pretrain(
 
 # --- fine-tuning -----------------------------------------------------------------
 
-def _head_for_level(level: str) -> str:
-    return {"note": "note", "sequence": "seq"}[level]
-
-
 def check_task_model(model: M.EncoderModel, data: corpus.TaskData) -> None:
     level = data.task.level
     if level not in ("note", "sequence"):
         raise ValueError(f"task {data.task.name!r} is not a classification task")
-    want = _head_for_level(level)
-    if model.config.head != want:
-        raise ValueError(f"task {data.task.name!r} needs a {want} head, got {model.config.head!r}")
+    if model.config.head != data.task.head:
+        raise ValueError(
+            f"task {data.task.name!r} needs a {data.task.head} head, got {model.config.head!r}"
+        )
     if model.config.num_classes != data.task.num_classes:
         raise ValueError(
             f"model has {model.config.num_classes} classes, "
@@ -308,10 +304,8 @@ def check_task_model(model: M.EncoderModel, data: corpus.TaskData) -> None:
         )
     if model.config.representation != data.representation:
         raise ValueError("model and corpus representation disagree")
-    if level == "note" and data.note_labels is None:
-        raise ValueError("note task corpus lacks note labels")
-    if level == "sequence" and data.seq_labels is None:
-        raise ValueError("sequence task corpus lacks sequence labels")
+    if task_labels(data) is None:
+        raise ValueError(f"{level} task corpus lacks {level} labels")
 
 
 def _class_loss(model, ids, labels, level, *, training, seed):

@@ -1,11 +1,15 @@
-"""Shared fixture generators and reference oracles for the test suite."""
+"""Shared fixture generators and reference oracles for the test suite, and
+the autodiff ops and score helper that only the tests use."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
 from midibert import autodiff as ad
 from midibert import evaluate
+from midibert.autodiff import Tensor, _accumulate, _result, _unbroadcast
 from midibert.smf import (
     PITCH_MAX,
     PITCH_MIN,
@@ -15,6 +19,48 @@ from midibert.smf import (
     make_score,
 )
 
+
+# --- autodiff ops only the tests use --------------------------------------------
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    out_data = a.data * b.data
+
+    def rule(g):
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
+
+    return _result(out_data, (a, b), rule)
+
+
+def mean(a: Tensor) -> Tensor:
+    n = a.data.size
+
+    def rule(g):
+        _accumulate(a, np.full_like(a.data, float(g) / n), owned=True)
+
+    return _result(np.mean(a.data), (a,), rule)
+
+
+def tanh(a: Tensor) -> Tensor:
+    t = np.tanh(a.data)
+
+    def rule(g):
+        _accumulate(a, g * (1.0 - t * t), owned=True)
+
+    return _result(t, (a,), rule)
+
+
+def strip_velocity(score: Score) -> Score:
+    return Score(
+        source_id=score.source_id,
+        notes=tuple(replace(n, velocity_class=None) for n in score.notes),
+        num_bars=score.num_bars,
+    )
+
+
+# --- fixtures and oracles --------------------------------------------------------
 
 def widen(model):
     """Widen a model's parameters to float64 in place, so its forward and

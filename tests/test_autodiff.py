@@ -12,7 +12,7 @@ import pytest
 from midibert import autodiff as ad
 from midibert.autodiff import Tensor, backward, gradcheck
 
-from .support import unfused_attention
+from .support import mean, mul, tanh, unfused_attention
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -28,7 +28,7 @@ def loss_of(t: Tensor) -> Tensor:
     # deterministic scalar readout with non-uniform weights
     flat = ad.reshape(t, (t.data.size,))
     w = tensor(np.linspace(0.5, 1.5, t.data.size))
-    return ad.mean(ad.mul(flat, w))
+    return mean(mul(flat, w))
 
 
 class TestBasicOps:
@@ -47,7 +47,7 @@ class TestBasicOps:
     def test_mul_and_scale(self):
         rng = np.random.default_rng(2)
         a, b = params(rng, (4, 5), (4, 5))
-        assert gradcheck(lambda: loss_of(ad.scale(ad.mul(a, b), 3.5)), [a, b]) <= 1e-6
+        assert gradcheck(lambda: loss_of(ad.scale(mul(a, b), 3.5)), [a, b]) <= 1e-6
 
     def test_batched_matmul(self):
         rng = np.random.default_rng(3)
@@ -86,14 +86,14 @@ class TestNonlinearities:
     def test_tanh(self):
         rng = np.random.default_rng(17)
         x = tensor(rng.uniform(-2.0, 2.0, (5, 6)), requires_grad=True)
-        assert gradcheck(lambda: loss_of(ad.tanh(x)), [x]) <= 1e-6
+        assert gradcheck(lambda: loss_of(tanh(x)), [x]) <= 1e-6
 
     def test_gelu_tanh_softmax(self):
         rng = np.random.default_rng(7)
         (x,) = params(rng, (6, 9))
 
         def f():
-            return loss_of(ad.softmax(ad.tanh(ad.gelu(x))))
+            return loss_of(ad.softmax(tanh(ad.gelu(x))))
 
         # softmax rows have mean-zero gradients, so some coordinate is always
         # ~1e-8; finite-difference noise (~1e-12 absolute) caps the relative
@@ -166,7 +166,7 @@ class TestEmbedAndLosses:
         table = tensor(np.zeros((5, 3)), requires_grad=True)
         ids = np.array([[1, 1, 4], [4, 1, 0]])
         out = ad.embed(table, ids)
-        backward(ad.mean(out))
+        backward(mean(out))
         # row 1 used three times, row 4 twice, row 0 once, rows 2,3 never
         per_use = 1.0 / out.data.size
         assert np.allclose(table.grad[1], 3 * per_use)
@@ -287,7 +287,7 @@ class TestRelativeBand:
         scaling = 1 / np.sqrt(d)
 
         out = ad.attention_scores(q, k, rel, bias, scaling)
-        backward(ad.mean(ad.mul(out, tensor(weights))))
+        backward(mean(mul(out, tensor(weights))))
         want = gathered_scores(
             q.data, k.data, rel.data, index, bias, scaling, weights / weights.size
         )
@@ -311,7 +311,7 @@ class TestRelativeBand:
         bias = np.zeros((b, 1, 1, t), np.float32)
         # a numpy float64 scaling must not promote the result
         out = ad.attention_scores(q, k, rel, bias, 1 / np.sqrt(d))
-        backward(ad.mean(out))
+        backward(mean(out))
         assert out.data.dtype == np.float32
         assert q.grad.dtype == k.grad.dtype == rel.grad.dtype == np.float32
 
@@ -325,7 +325,7 @@ class TestRelativeBand:
         bias = np.zeros((1, 1, 1, t), np.float32)
         tracemalloc.start()
         try:
-            backward(ad.mean(ad.attention_scores(q, k, rel, bias, 0.125)))
+            backward(mean(ad.attention_scores(q, k, rel, bias, 0.125)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -374,7 +374,7 @@ class TestFusedAttention:
         q, k, v, rel, bias = attention_inputs(rng, b, h, t, d, clip, dtype)
         weights = Tensor(rng.standard_normal((b, h, t, d)).astype(dtype))
         out = op(q, k, v, rel, bias, 1 / np.sqrt(d), p, 7, True)
-        backward(ad.mean(ad.mul(out, weights)))
+        backward(mean(mul(out, weights)))
         return out.data, q.grad, k.grad, v.grad, rel.grad
 
     @pytest.mark.parametrize("t", [1, 3, 4, 5, 9])  # 1, c, c+1, c+2, 3c at c = 3
@@ -402,7 +402,7 @@ class TestFusedAttention:
 
         def f(op):
             out = op(q, k, v, rel, bias, 0.5, p, 3, True)
-            return ad.mean(ad.mul(out, weights))
+            return mean(mul(out, weights))
 
         assert gradcheck(lambda: f(ad.attention), [q, k, v, rel], sample=300) <= 1e-6
         fused = [t.grad for t in (q, k, v, rel)]  # gradcheck's own backward
@@ -493,18 +493,18 @@ class TestBackwardContract:
     def test_non_scalar_loss_rejected(self):
         x = tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
-            backward(ad.mul(x, x))
+            backward(mul(x, x))
 
     def test_second_backward_rejected(self):
         x = tensor(np.ones(3), requires_grad=True)
-        loss = ad.mean(ad.mul(x, x))
+        loss = mean(mul(x, x))
         backward(loss)
         with pytest.raises(RuntimeError, match="already ran"):
             backward(loss)
 
     def test_constant_loss_rejected(self):
         with pytest.raises(ValueError, match="does not depend"):
-            backward(ad.mean(tensor(np.ones(3))))
+            backward(mean(tensor(np.ones(3))))
 
     def test_gradcheck_catches_a_wrong_backward_rule(self):
         x = tensor(np.linspace(0.5, 2.0, 6), requires_grad=True)
@@ -516,14 +516,14 @@ class TestBackwardContract:
                 _parents=(x,),
                 _backward=lambda g: ad._accumulate(x, g * 3.0 * x.data),  # wrong
             )
-            return ad.mean(out)
+            return mean(out)
 
         assert gradcheck(broken_square, [x], sample=6) > 0.1
 
     def test_min_grad_skips_unresolvable_coordinates(self):
         x = tensor(np.ones(4), requires_grad=True)
         w = tensor(np.array([1.0, 0.5, 2.0, 1e-12]))
-        f = lambda: ad.mean(ad.mul(x, w))
+        f = lambda: mean(mul(x, w))
         # the 2.5e-13-gradient coordinate moves the loss by less than one ulp,
         # so its central difference is exactly zero and reads as disagreement
         assert gradcheck(f, [x], sample=4) > 1e-6
@@ -534,7 +534,7 @@ class TestBackwardContract:
     def test_zero_gradient_function_checks_clean(self):
         x = tensor(np.ones(3), requires_grad=True)
         zero = tensor(np.zeros(3))
-        assert gradcheck(lambda: ad.mean(ad.mul(x, zero)), [x], sample=3) == 0.0
+        assert gradcheck(lambda: mean(mul(x, zero)), [x], sample=3) == 0.0
 
     def test_grad_shapes_match_parameters(self):
         rng = np.random.default_rng(15)
@@ -548,7 +548,7 @@ class TestBackwardContract:
         for dtype in (np.float32, np.float64):
             x = Tensor(np.linspace(-1.0, 1.0, 6, dtype=dtype).reshape(2, 3), requires_grad=True)
             w = Tensor(np.ones((3, 2), dtype), requires_grad=True)
-            loss = ad.mean(ad.gelu(ad.matmul(x, w)))
+            loss = mean(ad.gelu(ad.matmul(x, w)))
             assert loss.data.dtype == dtype
             backward(loss)
             assert x.grad.dtype == w.grad.dtype == dtype

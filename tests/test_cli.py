@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from midibert import cli, corpus, train
+from midibert import cli, corpus, smf, train
 from midibert import model as M
 
 
@@ -142,6 +142,23 @@ class TestPrepare:
         assert code == 0
         assert "melody_0000" in capsys.readouterr().err
         assert len({c.piece_id for c in corpus.load_store(store / "chunks.jsonl").chunks}) == 4
+
+    def test_piece_without_notes_skipped_unless_strict(self, tmp_path, capsys):
+        midi = tmp_path / "midi"
+        assert run("synth", "--task", "emotion", "--out", midi, "--pieces", 4, "--bars", 2) == 0
+        (midi / "silent.mid").write_bytes(smf.write_smf(smf.Score("silent", (), 0)))
+        labels = midi / "seq_labels.csv"
+        labels.write_text(labels.read_text() + "silent,HVHA\n")
+        store = tmp_path / "lenient"
+        assert run("prepare", "--midi", midi, "--task", "emotion", "--out", store,
+                   "--seq-labels", labels, "--ratios", "2,1,1") == 0
+        out, err = capsys.readouterr()
+        assert "skipped silent: no notes" in err
+        assert "4 pieces" in out
+        assert "silent" not in corpus.read_manifest(store / "manifest.csv")
+        assert run("prepare", "--midi", midi, "--task", "emotion", "--out", tmp_path / "strict",
+                   "--seq-labels", labels, "--strict") == 2
+        assert not (tmp_path / "strict" / "chunks.jsonl").exists()
 
     def test_repeated_label_row_is_data_error(self, tmp_path, capsys):
         midi = make_melody_corpus(tmp_path)

@@ -7,6 +7,7 @@ oracle that the class signal exists.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import tracemalloc
@@ -38,7 +39,7 @@ from midibert.corpus import (
     write_note_labels,
     write_seq_labels,
 )
-from midibert.smf import QuantNote, make_score
+from midibert.smf import QuantNote, make_score, write_smf
 from midibert.tokens import CHUNK_LEN, ChunkedSequence, chunk, encode_cp, encode_remi, vocab
 
 
@@ -244,6 +245,33 @@ class TestSynthPretrain:
         cp_chunks = sum(len(chunk(encode_cp(p.score), p.piece_id)) for p in pieces)
         bars = sum(p.score.num_bars for p in pieces)
         assert (bars / cp_chunks) / (bars / remi_chunks) >= 2.5
+
+    def test_unknown_style_rejected_by_the_spec(self):
+        with pytest.raises(ValueError, match="unknown pretrain style 'swing'"):
+            SynthSpec("pretrain", 1, style="swing")
+
+
+class TestSynthBytes:
+    """A seed's corpus is fixed by the order of the generator draws; these
+    digests, of every piece's id, SMF bytes and labels, pin that order."""
+
+    @pytest.mark.parametrize("task_name, style, digest", [
+        ("melody", "default", "d5cd3ce085ab2982864b8e55c7290dd3ff3f1350f781b6e2711d7e3b7e963731"),
+        ("velocity", "default", "ab78985a7b0a1889431b4899ab531eded6260be239f660120dddff254f4efbda"),
+        ("composer", "default", "e4414ccf0a859d57cc9894adea631eef66c0dcc80abe6058ffc73a78994236f4"),
+        ("emotion", "default", "9bee2f77831f38f29041f9337f0aeed617f5e12297156bc80654f178c4687f84"),
+        ("pretrain", "default", "2d7a49821c0a673c6d83cc3f4f3e6ebb0d4077016589d34086e319fa1502ab4c"),
+        ("pretrain", "pop", "7034f28d6e45803d9f25390075dcf53212583e717fa9af2b8ca2850ea36e3dd3"),
+        ("pretrain", "ostinato", "8d088f6efd413f7cd68f05cc84843fe5d2824b7166b9dc15ac750c70253f2f0b"),
+    ])
+    def test_pinned_digests(self, task_name, style, digest):
+        pieces = synth_corpus(SynthSpec(task_name, 3, bars_per_piece=3, style=style), seed=0)
+        h = hashlib.sha256()
+        for p in pieces:
+            h.update(p.piece_id.encode() + b"\0")
+            h.update(write_smf(p.score))
+            h.update(repr((p.note_labels, p.sequence_label)).encode())
+        assert h.hexdigest() == digest
 
 
 class TestStore:
@@ -565,12 +593,13 @@ class TestTaskData:
     def test_assembles(self, tmp_path):
         corpus, _ = self.write_melody_dir(tmp_path)
         data = load_task_data(tmp_path)
+        piece_ids = [c.piece_id for c in load_store(tmp_path / "chunks.jsonl").chunks]
         splits = read_manifest(tmp_path / "manifest.csv")
         assert data.task.name == "melody"
-        assert data.ids.shape[0] == len(data.piece_ids) == data.note_labels.shape[0]
+        assert data.ids.shape[0] == len(piece_ids) == data.note_labels.shape[0]
         for split_name in ("train", "valid", "test"):
             for i in data.indices(split_name):
-                assert splits[data.piece_ids[i]] == split_name
+                assert splits[piece_ids[i]] == split_name
         labeled = data.note_labels != IGNORE_LABEL
         assert labeled.sum() == sum(len(p.score.notes) for p in corpus)
 
@@ -583,7 +612,6 @@ class TestTaskData:
 
         monkeypatch.setattr(Store, "chunks_of", scan)
         data = load_task_data(tmp_path)
-        assert data.piece_ids == tuple(c.piece_id for c in chunks)
         assert np.array_equal(data.ids, np.stack([c.ids for c in chunks]))
         expected_labels = [
             row
@@ -596,6 +624,15 @@ class TestTaskData:
         splits = read_manifest(tmp_path / "manifest.csv")
         expected_splits = [SPLIT_NAMES.index(splits[c.piece_id]) for c in chunks]
         assert data.split_of.tolist() == expected_splits
+
+    def test_store_without_chunks_rejected(self, tmp_path):
+        store = tmp_path / "silent"
+        store.mkdir()
+        save_store(store / "chunks.jsonl", [], representation="remi", task_name="emotion")
+        write_seq_labels(store / "seq_labels.csv", {}, task("emotion"))
+        write_manifest(store / "manifest.csv", make_splits(["a", "b", "c"], (1, 1, 1), seed=0))
+        with pytest.raises(ValueError, match=re.escape(f"{store}: store has no chunks")):
+            load_task_data(store)
 
     def test_missing_manifest_entry_rejected(self, tmp_path):
         corpus, manifest = self.write_melody_dir(tmp_path)

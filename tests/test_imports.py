@@ -1,9 +1,10 @@
 """Source hygiene: no module of the package binds an import it never uses,
-and the package defines nothing that only tests call.
+and the package defines nothing that only tests call or read.
 
 There is no linter in the toolchain, and deleting a function easily leaves
 its imports behind; these stdlib-`ast` checks catch that, and catch a
-function, class or method whose only callers are outside `src/midibert`."""
+function, class or method whose only callers are outside `src/midibert`, and
+a dataclass field that only code outside it reads."""
 
 from __future__ import annotations
 
@@ -44,32 +45,41 @@ KEPT = {
     "corpus.Store.chunks_of": "perfbench wraps it",
     "tokens.decode_remi": "carries the REMI round-trip invariant",
     "tokens.decode_cp": "carries the CP round-trip invariant",
-    "autodiff.gradcheck": "test-only; moves to tests/support.py with ROADMAP item 1",
-    "autodiff.mul": "test-only; moves to tests/support.py with ROADMAP item 1",
-    "smf.strip_velocity": "test-only; moves to tests/support.py with ROADMAP item 1",
+    "autodiff.gradcheck": "test_acceptance imports it; moves to tests/support.py with ROADMAP item 1",
     "cli._Parser.error": "an argparse hook: argparse calls it",
+    "train.EpochRow.seconds": "each epoch's wall time, for ROADMAP item 3's throughput report",
 }
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
 
 
 def unreferenced(sources: dict[str, str]) -> list[str]:
     """Top-level functions and classes, and non-dunder methods of top-level
-    classes, whose name no module in `sources` reads.
+    classes, whose name no module in `sources` reads; then fields of
+    top-level dataclasses that no module reads as an attribute.
 
     The match is by name alone, so a definition whose name is also an
     attribute or a variable elsewhere counts as referenced and slips
-    through: `autodiff.mean` and `autodiff.tanh` pass as numpy's `.mean`
-    and `np.tanh`, and a method passes as any field of its name (the
-    test-only `SplitManifest.split_of` passed as `TaskData.split_of`)."""
+    through: a function passes as numpy's method of its name (the
+    test-only `autodiff.mean` passed as `.mean`), a method as any field of
+    its name (`SplitManifest.split_of` passed as `TaskData.split_of`), and
+    a field as any attribute read of its name."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    named = set()
+    named, read = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    found = []
+    found, fields = [], []
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, defs):
@@ -81,7 +91,15 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
                     for item in node.body
                     if isinstance(item, defs) and not item.name.startswith("__")
                 ]
-    return [qualified for qualified, name in found if name not in named]
+                if any(map(_is_dataclass, node.decorator_list)):
+                    fields += [
+                        (f"{module}.{node.name}.{item.target.id}", item.target.id)
+                        for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                    ]
+    return [qualified for qualified, name in found if name not in named] + [
+        qualified for qualified, name in fields if name not in read
+    ]
 
 
 def test_detects_an_unreferenced_definition():
@@ -91,6 +109,16 @@ def test_detects_an_unreferenced_definition():
              "    def helper(self):\n        pass\n",
     }
     assert unreferenced(sources) == ["a.spare", "b.C", "b.C.helper"]
+
+
+def test_detects_an_unread_dataclass_field():
+    sources = {
+        "a": "from dataclasses import dataclass\n\n@dataclass(frozen=True)\nclass Row:\n"
+             "    used: int\n    spare: int\n    written: int = 0\n\n"
+             "def total(row: Row) -> int:\n    row.written = 1\n    return row.used\n\n"
+             "print(total(Row(1, 2)))\n",
+    }
+    assert unreferenced(sources) == ["a.Row.spare", "a.Row.written"]
 
 
 def test_no_definition_only_tests_reach():

@@ -14,7 +14,7 @@ from midibert import model as M
 from midibert import tokens
 from midibert.train import AdamW
 
-from .support import unfused_attention, widen
+from .support import mean, unfused_attention, widen
 
 
 def content_remi_ids(rng, batch, length, fill):
@@ -304,7 +304,6 @@ class TestMlmObjective:
             target_ids=ids,
             loss_mask=np.array([[True, True, False, False]]),
             modes=np.zeros((1, 4), dtype=np.int8),
-            rng_seed=0,
         )
         logits = ad.tensor(np.zeros((1, 4, 169)))
         logits.data[0, 0, 18] = 5.0  # right
@@ -319,7 +318,6 @@ class TestMlmObjective:
             target_ids=ids,
             loss_mask=np.array([[True]]),
             modes=np.zeros((1, 1), dtype=np.int8),
-            rng_seed=0,
         )
         logits = [ad.tensor(np.zeros((1, 1, s))) for s in (4, 18, 88, 66)]
         for k, target in enumerate((1, 3, 40, 10)):
@@ -505,7 +503,7 @@ class TestCheckpoints:
         M.load_backbone(target, path)
         optimizer = AdamW(target.params, lr=1e-3, weight_decay=0.01)
         ids = content_remi_ids(np.random.default_rng(4), 1, 8, [6])
-        ad.backward(ad.mean(target.logits(ids)))
+        ad.backward(mean(target.logits(ids)))
         optimizer.step()
         for name, t in target.params.items():
             assert t.data.dtype.byteorder == "=", name

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from midibert.smf import QuantNote, Score, make_score, strip_velocity
+from midibert.smf import QuantNote, Score, make_score
 from midibert.tokens import (
     CHUNK_LEN,
     CP_EMPTY_BAR,
@@ -26,7 +26,7 @@ from midibert.tokens import (
     vocab,
 )
 
-from .support import random_grid_score
+from .support import random_grid_score, strip_velocity
 
 
 class TestVocab:

@@ -16,6 +16,8 @@ from midibert import model as M
 from midibert import train
 from midibert.autodiff import tensor
 
+from .support import mean, mul
+
 
 def tiny_config(**overrides):
     base = dict(
@@ -118,7 +120,7 @@ class TestAdamW:
         opt = train.AdamW({"w": p}, lr=0.05, weight_decay=0.0, grad_clip=math.inf)
         first = float((p.data**2).mean())
         for _ in range(100):
-            loss = ad.mean(ad.mul(p, p))
+            loss = mean(mul(p, p))
             opt.zero_grad()
             ad.backward(loss)
             opt.step()
@@ -329,7 +331,6 @@ def note_task_data(rng, n):
         task=corpus.TASKS["melody"],
         representation="remi",
         ids=ids,
-        piece_ids=tuple(f"p{i}" for i in range(n)),
         split_of=split,
         note_labels=labels,
     )
@@ -344,7 +345,6 @@ def seq_task_data(rng, n):
         task=corpus.TASKS["emotion"],
         representation="remi",
         ids=ids,
-        piece_ids=tuple(f"p{i}" for i in range(n)),
         split_of=split,
         seq_labels=labels,
     )
