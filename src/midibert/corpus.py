@@ -21,7 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .smf import PITCH_MAX, PITCH_MIN, SUB_BEATS_PER_BAR, QuantNote, Score, make_score
+from .smf import (
+    DURATION_UNITS_PER_BAR, PITCH_MAX, PITCH_MIN, SUB_BEATS_PER_BAR, VELOCITY_NAMES,
+    QuantNote, Score, make_score,
+)
 from .tokens import CHUNK_LEN, ChunkedSequence, chunk, encode_cp, encode_remi, vocab
 
 IGNORE_LABEL = -1
@@ -61,7 +64,7 @@ class TaskSpec:
 
 TASKS: dict[str, TaskSpec] = {
     "melody": TaskSpec("melody", "note", ("melody", "bridge", "accompaniment")),
-    "velocity": TaskSpec("velocity", "note", ("pp", "p", "mp", "mf", "f", "ff")),
+    "velocity": TaskSpec("velocity", "note", VELOCITY_NAMES),
     "composer": TaskSpec("composer", "sequence", ("C", "Y", "H", "E", "J", "S", "M", "W")),
     "emotion": TaskSpec("emotion", "sequence", ("HVHA", "HVLA", "LVHA", "LVLA")),
     "pretrain": TaskSpec("pretrain", "none", ()),
@@ -69,7 +72,7 @@ TASKS: dict[str, TaskSpec] = {
 
 
 def task(name: str) -> TaskSpec:
-    if name not in TASKS:
+    if not (isinstance(name, str) and name in TASKS):
         raise ValueError(f"unknown task {name!r}; expected one of {sorted(TASKS)}")
     return TASKS[name]
 
@@ -246,9 +249,9 @@ def _draw_notes(
 
 
 def _tile_bar_durations(rng: np.random.Generator) -> list[int]:
-    # melody durations tile the 32-unit bar exactly, all even so onsets
-    # stay on the sub-beat grid
-    remaining, out = 32, []
+    # melody durations tile the bar exactly, all even so onsets stay on the
+    # sub-beat grid
+    remaining, out = DURATION_UNITS_PER_BAR, []
     while remaining:
         choices = [d for d in (4, 8, 16) if d <= remaining]
         d = int(rng.choice(choices))
@@ -450,6 +453,10 @@ def load_store(path: str | Path) -> Store:
         representation = header.get("representation")
         if representation not in ("remi", "cp"):
             raise ValueError(f"{path}: unknown representation {representation!r}")
+        try:
+            task_name = task(header.get("task")).name
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         bounds = _id_bounds(representation)
         step = b"[" + b", " * (bounds.size - 1) + b"]" if bounds.ndim else b""
         digits = np.array([len(str(i)) for i in range(bounds.max())])
@@ -466,7 +473,7 @@ def load_store(path: str | Path) -> Store:
                 except (ValueError, DeprecationWarning) as exc:
                     raise ValueError(f"{path}: line {row + 2}: {exc}") from exc
                 chunks.append(ChunkedSequence(piece_id, chunk_index, block[row], positions))
-    return Store(representation=representation, task_name=header["task"], chunks=tuple(chunks))
+    return Store(representation=representation, task_name=task_name, chunks=tuple(chunks))
 
 
 def _read_record(

@@ -309,12 +309,9 @@ class EncoderModel:
 
 def _remi_target_weights(voc) -> np.ndarray:
     """Per-id loss weight: the target's type size over the vocab size."""
-    sizes = voc.type_sizes()
-    weights = np.zeros(len(voc), dtype=np.float64)
-    for i, tok in enumerate(voc.id_to_token):
-        if tok.kind not in (PAD, MASK):
-            weights[i] = sizes[tok.kind] / len(voc)
-    return weights
+    sizes = voc.type_sizes()  # the id blocks, in id order
+    shares = [0.0 if kind in (PAD, MASK) else size / len(voc) for kind, size in sizes.items()]
+    return np.repeat(shares, list(sizes.values()))
 
 
 def mlm_loss(model: EncoderModel, batch: MaskedBatch, *, training: bool = True, seed: int = 0):

@@ -1,4 +1,4 @@
-"""Token codecs: REMI event streams and compound-word (CP) super tokens.
+"""Token codecs: REMI event streams and compound-word (CP) super tokens, as ids.
 
 REMI spells each note as Sub-beat / Pitch / Duration events behind explicit
 Bar markers; with Pad and Mask that is a single 169-entry vocabulary. CP
@@ -6,7 +6,9 @@ folds one note into a single step of four fields (bar, sub_beat, pitch,
 duration) with per-field vocabularies of 4 / 18 / 88 / 66 entries; the bar
 field says whether the step opens a new bar, and an empty bar is the single
 step (New, Pad, Pad, Pad). Ids are dense per-type blocks in ascending value
-order, Pad is always id 0, Mask is always the last id.
+order, Pad is always id 0, Mask is always the last id. So a token is its
+id: the encoders write id arrays, and a vocabulary is arithmetic over the
+two block tables below.
 
 Both codecs are exact inverses of encoding for well-formed streams, and
 both chunk into fixed 512-step windows that never span pieces.
@@ -14,27 +16,34 @@ both chunk into fixed 512-step windows that never span pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .smf import (
-    DURATION_UNIT_MAX,
-    PITCH_MAX,
-    PITCH_MIN,
-    SUB_BEATS_PER_BAR,
-    QuantNote,
-    Score,
-)
+from .smf import DURATION_UNIT_MAX, PITCH_MAX, PITCH_MIN, SUB_BEATS_PER_BAR, QuantNote, Score
 
 CHUNK_LEN = 512
 
 PAD = "Pad"
 MASK = "Mask"
-BAR_NEW = "New"
-BAR_CONT = "Cont"
 
 CP_FIELDS = ("bar", "sub_beat", "pitch", "duration")
+
+# the REMI id blocks in id order, as (kind, lowest value, size)
+_REMI_BLOCKS = (
+    (PAD, 0, 1),
+    ("Bar", 0, 1),
+    ("Sub-beat", 1, SUB_BEATS_PER_BAR),
+    ("Pitch", PITCH_MIN, PITCH_MAX - PITCH_MIN + 1),
+    ("Duration", 1, DURATION_UNIT_MAX),
+    (MASK, 0, 1),
+)
+# each CP field's content as (lowest value, count), in CP_FIELDS order: a
+# field's ids are Pad 0, its values in ascending order from id 1, then Mask.
+# The bar field's two values are its ids, New 1 and Cont 2.
+_CP_CONTENT = ((1, 2), (1, SUB_BEATS_PER_BAR), (PITCH_MIN, PITCH_MAX - PITCH_MIN + 1),
+               (1, DURATION_UNIT_MAX))
+_NEW, _CONT = 1, 2
 
 
 class DecodeError(ValueError):
@@ -43,115 +52,56 @@ class DecodeError(ValueError):
         self.step = step
 
 
-@dataclass(frozen=True, slots=True)
-class RemiToken:
-    """One REMI event. kind Bar/Pad/Mask carries no value."""
-
-    kind: str  # "Bar" | "Sub-beat" | "Pitch" | "Duration" | "Pad" | "Mask"
-    value: int | None = None
-
-    def __str__(self) -> str:
-        return self.kind if self.value is None else f"{self.kind}({self.value})"
-
-
-@dataclass(frozen=True, slots=True)
-class SuperToken:
-    """One CP step: four field values, ints for content, Pad/Mask strings."""
-
-    bar: str                 # New | Cont | Pad | Mask
-    sub_beat: int | str      # 1..16 | Pad | Mask
-    pitch: int | str         # 22..107 | Pad | Mask
-    duration: int | str      # 1..64 | Pad | Mask
-
-    def astuple(self) -> tuple:
-        return (self.bar, self.sub_beat, self.pitch, self.duration)
-
-
-REMI_PAD = RemiToken(PAD)
-REMI_MASK = RemiToken(MASK)
-REMI_BAR = RemiToken("Bar")
-
-CP_PAD = SuperToken(PAD, PAD, PAD, PAD)
-CP_MASK = SuperToken(MASK, MASK, MASK, MASK)
-CP_EMPTY_BAR = SuperToken(BAR_NEW, PAD, PAD, PAD)
-
-
-def _remi_tokens_in_order() -> list[RemiToken]:
-    out = [REMI_PAD, REMI_BAR]
-    out += [RemiToken("Sub-beat", v) for v in range(1, SUB_BEATS_PER_BAR + 1)]
-    out += [RemiToken("Pitch", v) for v in range(PITCH_MIN, PITCH_MAX + 1)]
-    out += [RemiToken("Duration", v) for v in range(1, DURATION_UNIT_MAX + 1)]
-    out.append(REMI_MASK)
-    return out
-
-
-def _cp_field_values() -> dict[str, list[int | str]]:
-    return {
-        "bar": [PAD, BAR_NEW, BAR_CONT, MASK],
-        "sub_beat": [PAD, *range(1, SUB_BEATS_PER_BAR + 1), MASK],
-        "pitch": [PAD, *range(PITCH_MIN, PITCH_MAX + 1), MASK],
-        "duration": [PAD, *range(1, DURATION_UNIT_MAX + 1), MASK],
-    }
+def _remi_block(kind: str) -> tuple[int, int, int]:
+    """(first id, lowest value, size) of one REMI block."""
+    first = 0
+    for name, lowest, size in _REMI_BLOCKS:
+        if name == kind:
+            return first, lowest, size
+        first += size
+    raise KeyError(kind)
 
 
 @dataclass(frozen=True)
 class RemiVocab:
-    id_to_token: tuple[RemiToken, ...]
-    token_to_id: dict[RemiToken, int] = field(repr=False)
-
     def __len__(self) -> int:
-        return len(self.id_to_token)
+        return sum(size for _, _, size in _REMI_BLOCKS)
 
     @property
     def pad_id(self) -> int:
-        return self.token_to_id[REMI_PAD]
+        return 0
 
     @property
     def mask_id(self) -> int:
-        return self.token_to_id[REMI_MASK]
+        return len(self) - 1
 
     def content_ids(self) -> np.ndarray:
         """Every id that is neither Pad nor Mask."""
-        skip = {self.pad_id, self.mask_id}
-        return np.array([i for i in range(len(self)) if i not in skip], dtype=np.int64)
+        return np.arange(1, len(self) - 1, dtype=np.int64)
 
     def type_sizes(self) -> dict[str, int]:
-        sizes: dict[str, int] = {}
-        for tok in self.id_to_token:
-            sizes[tok.kind] = sizes.get(tok.kind, 0) + 1
-        return sizes
+        """Each kind's block size, in id order."""
+        return {kind: size for kind, _, size in _REMI_BLOCKS}
 
 
 @dataclass(frozen=True)
 class CpVocab:
-    id_to_value: dict[str, tuple]                 # field -> values in id order
-    value_to_id: dict[str, dict] = field(repr=False)
-
     @property
     def field_sizes(self) -> tuple[int, int, int, int]:
-        return tuple(len(self.id_to_value[f]) for f in CP_FIELDS)
+        return tuple(count + 2 for _, count in _CP_CONTENT)
 
     def __len__(self) -> int:
         return sum(self.field_sizes)
 
     def pad_ids(self) -> np.ndarray:
-        return np.array([self.value_to_id[f][PAD] for f in CP_FIELDS], dtype=np.int64)
+        return np.zeros(len(CP_FIELDS), dtype=np.int64)
 
     def mask_ids(self) -> np.ndarray:
-        return np.array([self.value_to_id[f][MASK] for f in CP_FIELDS], dtype=np.int64)
+        return np.array(self.field_sizes, dtype=np.int64) - 1
 
     def content_ids(self, field_name: str) -> np.ndarray:
-        vmap = self.value_to_id[field_name]
-        skip = {vmap[PAD], vmap[MASK]}
-        return np.array(
-            [i for i in range(len(self.id_to_value[field_name])) if i not in skip],
-            dtype=np.int64,
-        )
-
-    def encode_token(self, token: SuperToken) -> tuple[int, int, int, int]:
-        return tuple(
-            self.value_to_id[f][v] for f, v in zip(CP_FIELDS, token.astuple())
-        )
+        _, count = _CP_CONTENT[CP_FIELDS.index(field_name)]
+        return np.arange(1, count + 1, dtype=np.int64)
 
 
 Vocabulary = RemiVocab | CpVocab
@@ -159,135 +109,122 @@ Vocabulary = RemiVocab | CpVocab
 
 def vocab(representation: str) -> Vocabulary:
     if representation == "remi":
-        tokens = tuple(_remi_tokens_in_order())
-        return RemiVocab(tokens, {t: i for i, t in enumerate(tokens)})
+        return RemiVocab()
     if representation == "cp":
-        values = _cp_field_values()
-        return CpVocab(
-            {f: tuple(v) for f, v in values.items()},
-            {f: {v: i for i, v in enumerate(vals)} for f, vals in values.items()},
-        )
+        return CpVocab()
     raise ValueError(f"unknown representation: {representation!r}")
 
 
 # --- encoding ---------------------------------------------------------------
 
-def encode_remi(score: Score) -> list[RemiToken]:
-    """Bar marker per bar (empty bars included), then three events per note."""
-    out: list[RemiToken] = []
-    by_bar: dict[int, list[QuantNote]] = {}
-    for note in score.notes:
-        by_bar.setdefault(note.bar_index, []).append(note)
-    for bar in range(score.num_bars):
-        out.append(REMI_BAR)
-        for note in by_bar.get(bar, ()):
-            out.append(RemiToken("Sub-beat", note.sub_beat))
-            out.append(RemiToken("Pitch", note.pitch))
-            out.append(RemiToken("Duration", note.duration_units))
+def _note_columns(score: Score) -> np.ndarray:
+    """(notes, 4) int64 of bar, sub-beat, pitch and duration per note; the
+    bars ascend, since a Score's notes are sorted by onset."""
+    columns = [(n.bar_index, n.sub_beat, n.pitch, n.duration_units) for n in score.notes]
+    return np.array(columns, dtype=np.int64).reshape(-1, 4)
+
+
+def encode_remi(score: Score) -> np.ndarray:
+    """(steps,) ids: a Bar marker per bar (empty bars included), then three
+    events per note."""
+    notes = _note_columns(score)
+    bars = np.arange(score.num_bars)
+    out = np.empty(score.num_bars + 3 * len(notes), dtype=np.int64)
+    # a bar's marker follows the earlier bars' markers and their notes' events
+    out[bars + 3 * np.searchsorted(notes[:, 0], bars)] = _remi_block("Bar")[0]
+    first_event = notes[:, 0] + 1 + 3 * np.arange(len(notes))
+    for k, kind in enumerate(("Sub-beat", "Pitch", "Duration")):
+        first, lowest, _ = _remi_block(kind)
+        out[first_event + k] = notes[:, k + 1] + (first - lowest)
     return out
 
 
-def encode_cp(score: Score) -> list[SuperToken]:
-    """One super token per note; an empty bar is (New, Pad, Pad, Pad)."""
-    out: list[SuperToken] = []
-    by_bar: dict[int, list[QuantNote]] = {}
-    for note in score.notes:
-        by_bar.setdefault(note.bar_index, []).append(note)
-    for bar in range(score.num_bars):
-        notes = by_bar.get(bar, ())
-        if not notes:
-            out.append(CP_EMPTY_BAR)
-            continue
-        for position, note in enumerate(notes):
-            out.append(
-                SuperToken(
-                    bar=BAR_NEW if position == 0 else BAR_CONT,
-                    sub_beat=note.sub_beat,
-                    pitch=note.pitch,
-                    duration=note.duration_units,
-                )
-            )
-    return out
+def encode_cp(score: Score) -> np.ndarray:
+    """(steps, 4) ids: one super token per note; an empty bar is
+    (New, Pad, Pad, Pad)."""
+    notes = _note_columns(score)
+    bars = notes[:, 0]
+    steps = notes + [1 - lowest for lowest, _ in _CP_CONTENT]
+    # New on the first note of its bar, Cont on the rest
+    steps[:, 0] = np.where(np.searchsorted(bars, bars) == np.arange(len(bars)), _NEW, _CONT)
+    empty = np.flatnonzero(np.bincount(bars, minlength=score.num_bars) == 0)
+    return np.insert(steps, np.searchsorted(bars, empty), [_NEW, 0, 0, 0], axis=0)
 
 
 # --- decoding ---------------------------------------------------------------
 
-def decode_remi(tokens: list[RemiToken], *, source_id: str = "decoded") -> Score:
-    """Inverse of encode_remi. Pad and Mask steps are skipped; anything that
-    breaks the Bar / Sub-beat Pitch Duration grammar raises DecodeError with
-    the offending step index."""
+def _remi_event(token_id: int, step: int) -> tuple[str, int]:
+    """(kind, value) of one REMI id."""
+    offset = token_id
+    for kind, lowest, size in _REMI_BLOCKS:
+        if 0 <= offset < size:
+            return kind, lowest + offset
+        offset -= size
+    raise DecodeError(f"id {token_id} outside the vocabulary", step)
+
+
+def decode_remi(ids, *, source_id: str = "decoded") -> Score:
+    """Inverse of encode_remi. Pad and Mask steps are skipped; an id outside
+    the vocabulary, or anything that breaks the Bar / Sub-beat Pitch
+    Duration grammar, raises DecodeError with the offending step index."""
     notes: list[QuantNote] = []
     bar = -1
-    pending: list[tuple[str, int, int]] = []  # (kind, value, step)
-    for step, token in enumerate(tokens):
-        if token.kind in (PAD, MASK):
+    pending: list[tuple[int, int]] = []  # (value, step) of the note's events so far
+    for step, token_id in enumerate(np.asarray(ids).tolist()):
+        kind, value = _remi_event(token_id, step)
+        if kind in (PAD, MASK):
             continue
-        if token.kind == "Bar":
+        if kind == "Bar":
             if pending:
                 raise DecodeError("Bar interrupts an unfinished note", step)
             bar += 1
             continue
         if bar < 0:
-            raise DecodeError(f"{token.kind} before any Bar", step)
+            raise DecodeError(f"{kind} before any Bar", step)
         expected = ("Sub-beat", "Pitch", "Duration")[len(pending)]
-        if token.kind != expected:
-            raise DecodeError(f"expected {expected}, found {token.kind}", step)
-        pending.append((token.kind, token.value, step))
+        if kind != expected:
+            raise DecodeError(f"expected {expected}, found {kind}", step)
+        pending.append((value, step))
         if len(pending) == 3:
-            notes.append(
-                QuantNote(
-                    bar_index=bar,
-                    sub_beat=pending[0][1],
-                    pitch=pending[1][1],
-                    duration_units=pending[2][1],
-                )
-            )
+            notes.append(QuantNote(bar, *(v for v, _ in pending)))
             pending.clear()
     if pending:
-        raise DecodeError("stream ends inside a note", pending[0][2])
-    return Score(
-        source_id=source_id,
-        notes=tuple(sorted(notes, key=lambda n: (n.onset_sub_beats, n.pitch))),
-        num_bars=bar + 1,
-    )
+        raise DecodeError("stream ends inside a note", pending[0][1])
+    return _decoded(source_id, notes, bar + 1)
 
 
-def decode_cp(tokens: list[SuperToken], *, source_id: str = "decoded") -> Score:
-    """Inverse of encode_cp. All-Pad and all-Mask steps are skipped; mixed
-    Pad/Mask fields or Cont before any New raise DecodeError."""
+def decode_cp(ids, *, source_id: str = "decoded") -> Score:
+    """Inverse of encode_cp. All-Pad and all-Mask steps are skipped; an id
+    outside its field, mixed Pad/Mask fields or Cont before any New raise
+    DecodeError."""
+    masks = CpVocab().mask_ids().tolist()
     notes: list[QuantNote] = []
     bar = -1
-    for step, token in enumerate(tokens):
-        fields = token.astuple()
-        if all(v == PAD for v in fields) or all(v == MASK for v in fields):
+    for step, row in enumerate(np.asarray(ids).tolist()):
+        for name, value, mask in zip(CP_FIELDS, row, masks):
+            if not 0 <= value <= mask:
+                raise DecodeError(f"{name} id {value} outside the vocabulary", step)
+        if not any(row) or row == masks:
             continue
-        if any(v == MASK for v in fields):
+        if any(v == m for v, m in zip(row, masks)):
             raise DecodeError("Mask in some fields but not all", step)
-        if token == CP_EMPTY_BAR:
+        if row == [_NEW, 0, 0, 0]:
             bar += 1
             continue
-        if any(v == PAD for v in fields):
+        if 0 in row:
             raise DecodeError("Pad in some fields but not all", step)
-        if token.bar == BAR_NEW:
+        if row[0] == _NEW:
             bar += 1
-        elif token.bar == BAR_CONT:
-            if bar < 0:
-                raise DecodeError("Cont before any New", step)
-        else:
-            raise DecodeError(f"bad bar field {token.bar!r}", step)
-        notes.append(
-            QuantNote(
-                bar_index=bar,
-                sub_beat=token.sub_beat,
-                pitch=token.pitch,
-                duration_units=token.duration,
-            )
-        )
-    return Score(
-        source_id=source_id,
-        notes=tuple(sorted(notes, key=lambda n: (n.onset_sub_beats, n.pitch))),
-        num_bars=bar + 1,
-    )
+        elif bar < 0:
+            raise DecodeError("Cont before any New", step)
+        notes.append(QuantNote(
+            bar, *(v - 1 + lowest for v, (lowest, _) in zip(row[1:], _CP_CONTENT[1:]))
+        ))
+    return _decoded(source_id, notes, bar + 1)
+
+
+def _decoded(source_id: str, notes: list[QuantNote], num_bars: int) -> Score:
+    return Score(source_id, tuple(sorted(notes, key=lambda n: (n.onset_sub_beats, n.pitch))), num_bars)
 
 
 # --- chunking ---------------------------------------------------------------
@@ -311,50 +248,26 @@ class ChunkedSequence:
             raise ValueError(f"chunk must have {CHUNK_LEN} steps, got {self.ids.shape}")
 
 
-def chunk(tokens: list[RemiToken] | list[SuperToken], piece_id: str) -> list[ChunkedSequence]:
-    """Split a token stream into consecutive 512-step chunks, Pad-filled at
+def _note_steps(ids: np.ndarray) -> np.ndarray:
+    """The steps that carry a note: REMI Pitch events, CP steps with no Pad
+    and no Mask field."""
+    if ids.ndim == 1:
+        first, _, size = _remi_block("Pitch")
+        return np.flatnonzero((ids >= first) & (ids < first + size))
+    return np.flatnonzero(((ids > 0) & (ids < CpVocab().mask_ids())).all(axis=1))
+
+
+def chunk(ids: np.ndarray, piece_id: str) -> list[ChunkedSequence]:
+    """Split an id stream into consecutive 512-step chunks, Pad-filled at
     the end. An empty stream yields no chunks."""
-    if not tokens:
-        return []
-    if isinstance(tokens[0], RemiToken):
-        voc = vocab("remi")
-        flat = np.fromiter(
-            (voc.token_to_id[t] for t in tokens), dtype=np.int64, count=len(tokens)
-        )
-        note_steps = [i for i, t in enumerate(tokens) if t.kind == "Pitch"]
-        pad_row = np.int64(voc.pad_id)
-        ids = np.full(_padded_len(len(tokens)), pad_row, dtype=np.int64)
-        ids[: len(flat)] = flat
-    else:
-        voc = vocab("cp")
-        flat = np.array([voc.encode_token(t) for t in tokens], dtype=np.int64)
-        note_steps = [
-            i for i, t in enumerate(tokens)
-            if all(v not in (PAD, MASK) for v in t.astuple())
-        ]
-        ids = np.tile(voc.pad_ids(), (_padded_len(len(tokens)), 1))
-        ids[: len(flat)] = flat
-
-    positions_by_chunk: dict[int, list[tuple[int, int]]] = {}
-    for note_index, step in enumerate(note_steps):
-        positions_by_chunk.setdefault(step // CHUNK_LEN, []).append(
-            (step % CHUNK_LEN, note_index)
-        )
-
-    chunks = []
-    for chunk_index in range(ids.shape[0] // CHUNK_LEN):
-        window = ids[chunk_index * CHUNK_LEN : (chunk_index + 1) * CHUNK_LEN]
-        chunks.append(
-            ChunkedSequence(
-                piece_id=piece_id,
-                chunk_index=chunk_index,
-                ids=window,
-                note_positions=tuple(positions_by_chunk.get(chunk_index, ())),
-            )
-        )
-    return chunks
-
-
-def _padded_len(n: int) -> int:
-    return ((n + CHUNK_LEN - 1) // CHUNK_LEN) * CHUNK_LEN
-
+    windows = -(-len(ids) // CHUNK_LEN)
+    padded = np.zeros((windows * CHUNK_LEN, *ids.shape[1:]), dtype=np.int64)
+    padded[: len(ids)] = ids
+    note_steps = _note_steps(ids)
+    cuts = np.searchsorted(note_steps, np.arange(windows + 1) * CHUNK_LEN).tolist()
+    steps = (note_steps % CHUNK_LEN).tolist()
+    return [
+        ChunkedSequence(piece_id, w, padded[w * CHUNK_LEN : (w + 1) * CHUNK_LEN],
+                        tuple(zip(steps[cuts[w] : cuts[w + 1]], range(cuts[w], cuts[w + 1]))))
+        for w in range(windows)
+    ]

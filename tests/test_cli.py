@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -277,6 +278,22 @@ class TestPretrain:
         assert run("pretrain", "--data", store, "--out", tmp_path / "never", "--dry-run") == 2
         err = capsys.readouterr().err
         assert "chunks.jsonl: line 2: id outside the vocabulary" in err and "Traceback" not in err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("header, shown", [
+        ('{"schema": "chunks-v1", "representation": "remi"}\n', "None"),
+        ('{"schema": "chunks-v1", "representation": "remi", "task": "bogus"}\n', "'bogus'"),
+        ('{"schema": "chunks-v1", "representation": "remi", "task": []}\n', r"\[\]"),
+    ], ids=["missing", "unknown", "not-a-name"])
+    def test_store_header_task_is_checked(self, corpora, tmp_path, capsys, header, shown):
+        store = tmp_path / "edited"
+        store.mkdir()
+        _, *records = (corpora["pre_store"] / "chunks.jsonl").read_text().splitlines(True)
+        (store / "chunks.jsonl").write_text("".join([header, *records]))
+        assert run("pretrain", "--data", store, "--out", tmp_path / "never", "--dry-run") == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"data error: {re.escape(str(store))}/chunks\.jsonl: "
+                            rf"unknown task {shown}; expected one of \[.*\]\n", err)
         assert not (tmp_path / "never").exists()
 
     def test_mixed_representations_rejected(self, corpora, tmp_path):

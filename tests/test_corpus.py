@@ -274,6 +274,35 @@ class TestSynthBytes:
         assert h.hexdigest() == digest
 
 
+class TestStoreBytes:
+    """The codec's bytes: the store that encode, chunk and save_store make
+    of a seed's corpus. 70 bars put every piece over one 512-step window in
+    REMI and most of them in CP."""
+
+    @pytest.mark.parametrize("task_name, style, representation, digest", [
+        ("melody", "default", "remi", "02456f9e7f4f63ce5edf25fa82d87d50c718b839ae9493b5418841628e68545e"),
+        ("melody", "default", "cp", "23acf2b5727c896f98b09f68fc1ca5e2e22ed397da14dc22ac3ceb3b34d006a0"),
+        ("velocity", "default", "remi", "01bd8cf1a2e7a67e19a89f120e7531b98866c1fba0435f5e5fb7628f0f4bc9cd"),
+        ("velocity", "default", "cp", "2cd5045c89da59e9d288083b105f05dc774f8c17e639a90e6b79f36ba408349f"),
+        ("composer", "default", "remi", "4fd1108386e777c4b441d1a502b263d16fe7fc09cbadc5e0526261133590d29c"),
+        ("composer", "default", "cp", "07439e6791e15c26dc8e48d5171227d1bd64f39bd8946d8a535e318ca4acfb6c"),
+        ("emotion", "default", "remi", "124cf14277af8f0637c0027d638512041a8e56b02c2da6dfb46648ddba3bd282"),
+        ("emotion", "default", "cp", "a0a59b78b342f00ba91c4c51ed1e287cb23c5f7ed4dd164307effbeafec8c976"),
+        ("pretrain", "default", "remi", "6677d7319c969613e88b8160ec63de44d3b3909b1cae8994dd6c478aa2e8d89a"),
+        ("pretrain", "default", "cp", "33cef022577b53640945eb497b38bf89e41054872f0547e9d34e930c229b72e1"),
+        ("pretrain", "pop", "remi", "400e160a0e26dd1287b7c6355f9d46018aa3238ade93e9599640eca1f7c2bd9b"),
+        ("pretrain", "pop", "cp", "ecc0aec91d49a862fabdf012f43c8a973d7f5613e4d41067c714309d6cba8729"),
+        ("pretrain", "ostinato", "remi", "687a782ad1d81eb519f6f6b1ddc2d6e5e78356cb5ee0d34f468e1d205d767a1c"),
+        ("pretrain", "ostinato", "cp", "ab00481b66295f6d62f830bbc146af4d548c2b846af344350e71208444621431"),
+    ])
+    def test_pinned_digests(self, tmp_path, task_name, style, representation, digest):
+        pieces = synth_corpus(SynthSpec(task_name, 3, bars_per_piece=70, style=style), seed=0)
+        path = tmp_path / "chunks.jsonl"
+        save_store(path, pieces_to_chunks(pieces, representation),
+                   representation=representation, task_name=task_name)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 class TestStore:
     def test_round_trip(self, tmp_path):
         pieces = synth_corpus(SynthSpec("melody", 3), seed=4)

@@ -3,8 +3,9 @@ and the package defines nothing that only tests call or read.
 
 There is no linter in the toolchain, and deleting a function easily leaves
 its imports behind; these stdlib-`ast` checks catch that, and catch a
-function, class or method whose only callers are outside `src/midibert`, and
-a dataclass field that only code outside it reads."""
+function, class or method whose only callers are outside `src/midibert`, a
+dataclass field that only code outside it reads, and a module constant that
+no module of it reads."""
 
 from __future__ import annotations
 
@@ -60,7 +61,9 @@ def _is_dataclass(decorator: ast.expr) -> bool:
 def unreferenced(sources: dict[str, str]) -> list[str]:
     """Top-level functions and classes, and non-dunder methods of top-level
     classes, whose name no module in `sources` reads; then fields of
-    top-level dataclasses that no module reads as an attribute.
+    top-level dataclasses that no module reads as an attribute; then
+    non-dunder names that a module-level assignment binds and that no
+    module reads, as a name or an attribute.
 
     The match is by name alone, so a definition whose name is also an
     attribute or a variable elsewhere counts as referenced and slips
@@ -69,19 +72,29 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
     its name (`SplitManifest.split_of` passed as `TaskData.split_of`), and
     a field as any attribute read of its name."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    named, read = set(), set()
+    named, read, loaded = set(), set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
                 if isinstance(node.ctx, ast.Load):
                     read.add(node.attr)
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    found, fields = [], []
+    found, fields, constants = [], [], []
     for module, tree in trees.items():
         for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                constants += [
+                    (f"{module}.{name.id}", name.id)
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name) and not name.id.startswith("__")
+                ]
             if not isinstance(node, defs):
                 continue
             found.append((f"{module}.{node.name}", node.name))
@@ -97,9 +110,11 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
                         for item in node.body
                         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
                     ]
-    return [qualified for qualified, name in found if name not in named] + [
-        qualified for qualified, name in fields if name not in read
-    ]
+    return (
+        [qualified for qualified, name in found if name not in named]
+        + [qualified for qualified, name in fields if name not in read]
+        + [qualified for qualified, name in constants if name not in loaded | read]
+    )
 
 
 def test_detects_an_unreferenced_definition():
@@ -119,6 +134,15 @@ def test_detects_an_unread_dataclass_field():
              "print(total(Row(1, 2)))\n",
     }
     assert unreferenced(sources) == ["a.Row.spare", "a.Row.written"]
+
+
+def test_detects_an_unread_module_constant():
+    sources = {
+        "a": "__all__ = ['f']\nLIMIT = 3\nSPARE = 4\nLOW, HIGH = 1, 2\nNAMES: tuple = ()\n"
+             "WRITTEN = 0\n\ndef f():\n    global WRITTEN\n    WRITTEN = LIMIT + LOW\n",
+        "b": "from . import a\n\nprint(a.NAMES, a.f())\n",
+    }
+    assert unreferenced(sources) == ["a.SPARE", "a.HIGH", "a.WRITTEN"]
 
 
 def test_no_definition_only_tests_reach():

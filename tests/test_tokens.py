@@ -1,23 +1,22 @@
-"""Codec tests: vocabulary layout, round trips, grammar errors, chunking."""
+"""Codec tests: vocabulary layout, round trips, grammar errors, chunking.
+
+A token is its id: REMI streams are (steps,) id arrays and CP streams are
+(steps, 4) arrays of per-field ids, so every case here is spelled in ids.
+REMI ids: Pad 0, Bar 1, Sub-beat 1..16 at 2..17, Pitch 22..107 at 18..103,
+Duration 1..64 at 104..167, Mask 168. CP fields: bar Pad 0 / New 1 / Cont 2
+/ Mask 3; sub_beat, pitch and duration hold their values from id 1 up
+(pitch 60 is id 39) with Mask last (17, 87, 65)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from midibert.smf import QuantNote, Score, make_score
+from midibert.smf import PITCH_MIN, QuantNote, Score, make_score
 from midibert.tokens import (
     CHUNK_LEN,
-    CP_EMPTY_BAR,
     CP_FIELDS,
-    CP_MASK,
-    CP_PAD,
-    REMI_BAR,
-    REMI_MASK,
-    REMI_PAD,
     DecodeError,
-    RemiToken,
-    SuperToken,
     chunk,
     decode_cp,
     decode_remi,
@@ -28,14 +27,17 @@ from midibert.tokens import (
 
 from .support import random_grid_score, strip_velocity
 
+REMI_PAD, REMI_BAR, REMI_MASK = 0, 1, 168
+CP_PAD, CP_MASK, CP_EMPTY_BAR = [0, 0, 0, 0], [3, 17, 87, 65], [1, 0, 0, 0]
+
 
 class TestVocab:
     def test_remi_size_and_composition(self):
         voc = vocab("remi")
         assert len(voc) == 169
         sizes = voc.type_sizes()
-        assert sizes == {"Pad": 1, "Bar": 1, "Sub-beat": 16, "Pitch": 86,
-                         "Duration": 64, "Mask": 1}
+        assert list(sizes.items()) == [("Pad", 1), ("Bar", 1), ("Sub-beat", 16),
+                                       ("Pitch", 86), ("Duration", 64), ("Mask", 1)]
 
     def test_cp_field_sizes(self):
         voc = vocab("cp")
@@ -50,11 +52,13 @@ class TestVocab:
         assert list(cp.mask_ids()) == [s - 1 for s in cp.field_sizes]
 
     def test_ids_are_dense_ascending_blocks(self):
-        voc = vocab("remi")
-        # Sub-beat block directly after Bar, ascending values
-        assert [voc.token_to_id[RemiToken("Sub-beat", v)] for v in (1, 16)] == [2, 17]
-        assert [voc.token_to_id[RemiToken("Pitch", v)] for v in (22, 107)] == [18, 103]
-        assert [voc.token_to_id[RemiToken("Duration", v)] for v in (1, 64)] == [104, 167]
+        # each block's lowest and highest value, encoded: Sub-beat directly
+        # after Bar, then Pitch, then Duration, each ascending
+        score = make_score("s", [QuantNote(0, 1, 22, 1), QuantNote(0, 16, 107, 64)])
+        ids = encode_remi(score).tolist()
+        assert [ids[1], ids[4]] == [2, 17]
+        assert [ids[2], ids[5]] == [18, 103]
+        assert [ids[3], ids[6]] == [104, 167]
 
     def test_content_ids_exclude_pad_and_mask(self):
         remi = vocab("remi")
@@ -75,8 +79,8 @@ class TestEncode:
     def test_step_counts_two_bars_six_notes(self):
         # 3 tokens per note + 1 per bar vs 1 super token per note
         score = two_bar_six_note_score()
-        assert len(encode_remi(score)) == 20
-        assert len(encode_cp(score)) == 6
+        assert encode_remi(score).shape == (20,)
+        assert encode_cp(score).shape == (6, 4)
 
     def test_step_count_identity_random(self):
         rng = np.random.default_rng(5)
@@ -89,24 +93,23 @@ class TestEncode:
             assert len(encode_cp(score)) == len(score.notes) + empty_bars
 
     def test_remi_stream_shape(self):
+        # Bar, Sub-beat(3), Pitch(60), Duration(8)
         score = make_score("s", [QuantNote(0, 3, 60, 8)])
-        assert [str(t) for t in encode_remi(score)] == [
-            "Bar", "Sub-beat(3)", "Pitch(60)", "Duration(8)",
-        ]
+        assert encode_remi(score).tolist() == [1, 4, 56, 111]
 
     def test_cp_bar_flags(self):
         score = two_bar_six_note_score()
-        flags = [t.bar for t in encode_cp(score)]
-        assert flags == ["New", "Cont", "Cont", "New", "Cont", "Cont"]
+        flags = encode_cp(score)[:, 0].tolist()
+        assert flags == [1, 2, 2, 1, 2, 2]  # New Cont Cont New Cont Cont
 
     def test_empty_bar_forms(self):
         score = Score("s", (QuantNote(1, 1, 60, 4),), num_bars=2)
-        assert encode_remi(score)[:2] == [REMI_BAR, REMI_BAR]
-        assert encode_cp(score)[0] == CP_EMPTY_BAR
+        assert encode_remi(score)[:2].tolist() == [REMI_BAR, REMI_BAR]
+        assert encode_cp(score)[0].tolist() == CP_EMPTY_BAR
 
     def test_empty_score(self):
         score = Score("s", (), num_bars=0)
-        assert encode_remi(score) == [] and encode_cp(score) == []
+        assert encode_remi(score).shape == (0,) and encode_cp(score).shape == (0, 4)
 
 
 class TestDecode:
@@ -120,24 +123,23 @@ class TestDecode:
             assert decode_cp(encode_cp(score), source_id="s") == score
 
     def test_pad_and_mask_steps_skipped(self):
-        tokens = [REMI_BAR, REMI_MASK, RemiToken("Sub-beat", 1),
-                  RemiToken("Pitch", 60), RemiToken("Duration", 4), REMI_PAD]
-        score = decode_remi(tokens)
+        ids = [REMI_BAR, REMI_MASK, 2, 56, 107, REMI_PAD]
+        score = decode_remi(ids)
         assert len(score.notes) == 1 and score.num_bars == 1
 
     def test_cp_pad_and_mask_steps_skipped(self):
-        tokens = [SuperToken("New", 1, 60, 4), CP_PAD, CP_MASK]
-        score = decode_cp(tokens)
+        ids = [[1, 1, 39, 4], CP_PAD, CP_MASK]
+        score = decode_cp(ids)
         assert len(score.notes) == 1 and score.num_bars == 1
 
     @pytest.mark.parametrize(
         "tokens, match",
         [
-            ([RemiToken("Sub-beat", 1)], "before any Bar"),
-            ([REMI_BAR, RemiToken("Pitch", 60)], "expected Sub-beat"),
-            ([REMI_BAR, RemiToken("Sub-beat", 1), RemiToken("Duration", 4)], "expected Pitch"),
-            ([REMI_BAR, RemiToken("Sub-beat", 1), RemiToken("Pitch", 60)], "ends inside"),
-            ([REMI_BAR, RemiToken("Sub-beat", 1), REMI_BAR], "interrupts"),
+            ([2], "before any Bar"),
+            ([REMI_BAR, 56], "expected Sub-beat"),
+            ([REMI_BAR, 2, 107], "expected Pitch"),
+            ([REMI_BAR, 2, 56], "ends inside"),
+            ([REMI_BAR, 2, REMI_BAR], "interrupts"),
         ],
     )
     def test_remi_grammar_errors(self, tokens, match):
@@ -146,51 +148,65 @@ class TestDecode:
 
     def test_remi_error_reports_step(self):
         with pytest.raises(DecodeError, match=r"step 2"):
-            decode_remi([REMI_BAR, RemiToken("Sub-beat", 1), RemiToken("Sub-beat", 2)])
+            decode_remi([REMI_BAR, 2, 3])
 
     @pytest.mark.parametrize(
         "tokens, match",
         [
-            ([SuperToken("Cont", 1, 60, 4)], "Cont before any New"),
-            ([SuperToken("New", "Pad", 60, 4)], "Pad in some fields"),
-            ([SuperToken("Mask", 1, 60, 4)], "Mask in some fields"),
+            ([[2, 1, 39, 4]], "Cont before any New"),
+            ([[1, 0, 39, 4]], "Pad in some fields"),
+            ([[3, 1, 39, 4]], "Mask in some fields"),
         ],
     )
     def test_cp_grammar_errors(self, tokens, match):
         with pytest.raises(DecodeError, match=match):
             decode_cp(tokens)
 
+    @pytest.mark.parametrize("ids, match", [
+        ([REMI_BAR, 2, 56, 169], r"id 169 outside the vocabulary \(step 3\)"),
+        ([-1], r"id -1 outside the vocabulary \(step 0\)"),
+    ])
+    def test_remi_id_outside_the_vocabulary(self, ids, match):
+        with pytest.raises(DecodeError, match=match):
+            decode_remi(ids)
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_cp_field_past_its_mask(self, field):
+        row = [1, 1, 39, 4]
+        row[field] = CP_MASK[field] + 1
+        with pytest.raises(DecodeError, match=rf"^{CP_FIELDS[field]} id {row[field]} "
+                                              r"outside the vocabulary \(step 1\)"):
+            decode_cp([[1, 1, 39, 4], row])
+
 
 class TestChunk:
     def test_empty_stream_yields_no_chunks(self):
-        assert chunk([], "p") == []
+        assert chunk(np.zeros(0, dtype=np.int64), "p") == []
+        assert chunk(np.zeros((0, 4), dtype=np.int64), "p") == []
 
     def test_pad_fill_and_window_count(self):
         score = Score("s", (), num_bars=600)  # 600 Bar tokens
         chunks = chunk(encode_remi(score), "p")
         assert [c.chunk_index for c in chunks] == [0, 1]
-        voc = vocab("remi")
-        bar_id = voc.token_to_id[REMI_BAR]
-        assert (chunks[0].ids == bar_id).all()
-        assert (chunks[1].ids[: 600 - CHUNK_LEN] == bar_id).all()
-        assert (chunks[1].ids[600 - CHUNK_LEN :] == voc.pad_id).all()
+        assert (chunks[0].ids == REMI_BAR).all()
+        assert (chunks[1].ids[: 600 - CHUNK_LEN] == REMI_BAR).all()
+        assert (chunks[1].ids[600 - CHUNK_LEN :] == REMI_PAD).all()
 
     def test_exact_multiple_has_no_pad_chunk(self):
-        tokens = [REMI_BAR] * CHUNK_LEN
-        assert len(chunk(tokens, "p")) == 1
+        ids = np.full(CHUNK_LEN, REMI_BAR, dtype=np.int64)
+        assert len(chunk(ids, "p")) == 1
 
     def test_note_positions_remi(self):
         rng = np.random.default_rng(23)
         score = random_grid_score(rng, max_bars=40, max_notes_per_bar=16,
                                   with_velocity=False)
         chunks = chunk(encode_remi(score), "p")
-        voc = vocab("remi")
         seen = []
         for c in chunks:
             for step, note_index in c.note_positions:
-                token = voc.id_to_token[c.ids[step]]
-                assert token.kind == "Pitch"
-                assert token.value == score.notes[note_index].pitch
+                # the Pitch step: its id is in the Pitch block, at the note's pitch
+                assert 18 <= c.ids[step] <= 103
+                assert c.ids[step] - 18 + PITCH_MIN == score.notes[note_index].pitch
                 seen.append(note_index)
         assert seen == list(range(len(score.notes)))
 
@@ -199,16 +215,12 @@ class TestChunk:
         score = random_grid_score(rng, max_bars=40, max_notes_per_bar=16,
                                   with_velocity=False)
         chunks = chunk(encode_cp(score), "p")
-        voc = vocab("cp")
         seen = []
         for c in chunks:
             for step, note_index in c.note_positions:
-                token = SuperToken(
-                    *(voc.id_to_value[f][i] for f, i in zip(CP_FIELDS, c.ids[step]))
-                )
                 note = score.notes[note_index]
-                assert (token.sub_beat, token.pitch, token.duration) == (
-                    note.sub_beat, note.pitch, note.duration_units)
+                assert c.ids[step, 1:].tolist() == [
+                    note.sub_beat, note.pitch - PITCH_MIN + 1, note.duration_units]
                 seen.append(note_index)
         assert seen == list(range(len(score.notes)))
 
@@ -226,3 +238,53 @@ class TestChunk:
         score = two_bar_six_note_score()
         (c,) = chunk(encode_cp(score), "p")
         assert c.ids.shape == (CHUNK_LEN, 4)
+
+
+def loop_remi(score: Score) -> list[int]:
+    """encode_remi as a loop over bars and their notes."""
+    out = []
+    for bar in range(score.num_bars):
+        out.append(REMI_BAR)
+        for n in score.notes:
+            if n.bar_index == bar:
+                out += [1 + n.sub_beat, 18 + n.pitch - PITCH_MIN, 103 + n.duration_units]
+    return out
+
+
+def loop_cp(score: Score) -> list[list[int]]:
+    """encode_cp as a loop over bars and their notes."""
+    out = []
+    for bar in range(score.num_bars):
+        notes = [n for n in score.notes if n.bar_index == bar]
+        out += [
+            [1 if i == 0 else 2, n.sub_beat, n.pitch - PITCH_MIN + 1, n.duration_units]
+            for i, n in enumerate(notes)
+        ] or [CP_EMPTY_BAR]
+    return out
+
+
+def loop_note_positions(ids: np.ndarray) -> list[list[tuple[int, int]]]:
+    """Each window's note positions, step by step."""
+    windows = [[] for _ in range(-(-len(ids) // CHUNK_LEN))]
+    notes = 0
+    for step, token in enumerate(ids.tolist()):
+        if (18 <= token <= 103) if ids.ndim == 1 else all(0 < v < m for v, m in zip(token, CP_MASK)):
+            windows[step // CHUNK_LEN].append((step % CHUNK_LEN, notes))
+            notes += 1
+    return windows
+
+
+class TestAgainstLoops:
+    """The array encoders and chunk against step-by-step loops."""
+
+    def test_encoders_and_note_positions(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            score = random_grid_score(rng, max_bars=60, max_notes_per_bar=10,
+                                      with_velocity=False, allow_trailing_empty_bars=True)
+            for ids, loop in ((encode_remi(score), loop_remi), (encode_cp(score), loop_cp)):
+                assert ids.dtype == np.int64 and ids.tolist() == loop(score)
+                chunks = chunk(ids, "p")
+                assert [list(c.note_positions) for c in chunks] == loop_note_positions(ids)
+                padded = np.concatenate([c.ids for c in chunks]) if chunks else ids
+                assert (padded[: len(ids)] == ids).all() and not padded[len(ids) :].any()
