@@ -322,7 +322,7 @@ def _label_pieces(scores, task_spec, options, strict: bool):
     pieces, failures = [], []
     for score in scores:
         try:
-            if not score.notes:
+            if len(score.notes) == 0:
                 raise ValueError("no notes")
             pieces.append(corpus.LabeledPiece(score=score, task=task_spec, **labels_of(score)))
         except ValueError as exc:

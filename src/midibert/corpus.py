@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .smf import (
-    DURATION_UNITS_PER_BAR, PITCH_MAX, PITCH_MIN, SUB_BEATS_PER_BAR, VELOCITY_NAMES,
-    QuantNote, Score, make_score,
+    DURATION_UNITS_PER_BAR, NO_VELOCITY, PITCH_MAX, PITCH_MIN, SUB_BEATS_PER_BAR, VELOCITY_NAMES,
+    Score, make_score,
 )
 from .tokens import CHUNK_LEN, ChunkedSequence, chunk, encode_cp, encode_remi, vocab
 
@@ -112,12 +112,11 @@ class LabeledPiece:
 
 def derive_velocity_labels(score: Score) -> tuple[int, ...]:
     """Velocity-class labels come straight off the quantized notes."""
-    labels = []
-    for i, note in enumerate(score.notes):
-        if note.velocity_class is None:
-            raise ValueError(f"piece {score.source_id!r}: note {i} has no velocity")
-        labels.append(note.velocity_class)
-    return tuple(labels)
+    classes = score.notes[:, 4]
+    missing = np.flatnonzero(classes == NO_VELOCITY)
+    if missing.size:
+        raise ValueError(f"piece {score.source_id!r}: note {missing[0]} has no velocity")
+    return tuple(classes.tolist())
 
 
 # --- splits -------------------------------------------------------------------
@@ -228,11 +227,11 @@ def _draw_notes(
     count: int,
     draw_pitch: Callable[[], int],
     durations: list[int],
-    velocity_of_sub_beat: tuple[int | None, ...] = (None,) * SUB_BEATS_PER_BAR,
-) -> list[QuantNote]:
-    """`count` draws per bar of a sub-beat, then a pitch, then, only when
-    that (sub-beat, pitch) is new in the bar, a duration. The draw order is
-    what fixes a seed's corpus."""
+    velocity_of_sub_beat: tuple[int, ...] = (NO_VELOCITY,) * SUB_BEATS_PER_BAR,
+) -> list[tuple[int, int, int, int, int]]:
+    """Note rows from `count` draws per bar of a sub-beat, then a pitch,
+    then, only when that (sub-beat, pitch) is new in the bar, a duration.
+    The draw order is what fixes a seed's corpus."""
     notes = []
     for bar in bars:
         taken: set[tuple[int, int]] = set()
@@ -242,8 +241,9 @@ def _draw_notes(
             if (sub_beat, pitch) in taken:
                 continue
             taken.add((sub_beat, pitch))
-            notes.append(QuantNote(
-                bar, sub_beat, pitch, int(rng.choice(durations)), velocity_of_sub_beat[sub_beat - 1]
+            notes.append((
+                bar, sub_beat, pitch, durations[rng.integers(len(durations))],
+                velocity_of_sub_beat[sub_beat - 1],
             ))
     return notes
 
@@ -254,7 +254,7 @@ def _tile_bar_durations(rng: np.random.Generator) -> list[int]:
     remaining, out = DURATION_UNITS_PER_BAR, []
     while remaining:
         choices = [d for d in (4, 8, 16) if d <= remaining]
-        d = int(rng.choice(choices))
+        d = choices[rng.integers(len(choices))]
         out.append(d)
         remaining -= d
     return out
@@ -265,15 +265,14 @@ def _synth_melody(spec: SynthSpec, index: int, rng: np.random.Generator) -> Labe
     accompaniment sits strictly below it, so the top line is the melody both
     by label and by the skyline rule."""
     melody_task = task("melody")
-    melody_notes: list[QuantNote] = []
-    accompaniment: list[QuantNote] = []
+    melody_notes, accompaniment = [], []
     pitch = int(rng.integers(76, 92))
     for bar in range(spec.bars_per_piece):
         unit = 0
         durations = _tile_bar_durations(rng)
         for duration in durations:
             pitch = int(np.clip(pitch + rng.integers(-4, 5), 72, 96))
-            melody_notes.append(QuantNote(bar, unit // 2 + 1, pitch, duration))
+            melody_notes.append((bar, unit // 2 + 1, pitch, duration, NO_VELOCITY))
             unit += duration
         accompaniment += _draw_notes(
             rng, [bar], max(1, spec.notes_per_bar - len(durations)),
@@ -281,8 +280,9 @@ def _synth_melody(spec: SynthSpec, index: int, rng: np.random.Generator) -> Labe
         )
     score = make_score(f"melody_{index:04d}", melody_notes + accompaniment)
     melody_label, accomp_label = map(melody_task.class_names.index, ("melody", "accompaniment"))
-    melody = set(melody_notes)  # the registers are disjoint, so no note is in both voices
-    labels = tuple(melody_label if n in melody else accomp_label for n in score.notes)
+    # the registers are disjoint: the melody is clipped to 72..96, the
+    # accompaniment drawn from 36..60
+    labels = tuple(np.where(score.notes[:, 2] >= 72, melody_label, accomp_label).tolist())
     return LabeledPiece(score=score, task=melody_task, note_labels=labels)
 
 
@@ -311,7 +311,7 @@ def _synth_classified(spec: SynthSpec, index: int, rng: np.random.Generator) -> 
     density = max(2, spec.notes_per_bar + (k % 3) - 1)
     notes = _draw_notes(
         rng, range(spec.bars_per_piece), density,
-        lambda: int(rng.choice(scale)) + 12 * int(rng.integers(4, 7)),  # degree, then octave
+        lambda: scale[rng.integers(len(scale))] + 12 * int(rng.integers(4, 7)),  # degree, then octave
         [2, 4, 8, 16],
     )
     score = make_score(f"{spec.task}_{index:04d}", notes)
@@ -333,7 +333,7 @@ def _synth_pretrain(spec: SynthSpec, index: int, rng: np.random.Generator) -> La
     bars = range(spec.bars_per_piece)
     if spec.style == "ostinato":
         pattern = _OSTINATO_PATTERNS[index % len(_OSTINATO_PATTERNS)]
-        notes = [QuantNote(bar, *note) for bar in bars for note in pattern]
+        notes = [(bar, *note, NO_VELOCITY) for bar in bars for note in pattern]
     else:  # "pop" and "default"
         notes = _draw_notes(
             rng, bars, spec.notes_per_bar,

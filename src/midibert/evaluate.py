@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import IGNORE_LABEL, TaskSpec
-from .smf import Score
+from .smf import Score, onset_sub_beats
 
 BINARY_CLASS_NAMES = ("melody", "non-melody")
 MELODY = 0
@@ -119,23 +119,26 @@ def skyline(score: Score) -> np.ndarray:
     entries are dropped lazily from the top, which never hides the true
     maximum."""
     labels = np.full(len(score.notes), NON_MELODY, dtype=np.int64)
+    onset_units = 2 * onset_sub_beats(score.notes)
+    onsets = onset_units.tolist()  # in duration units (half sub-beats)
+    ends = (onset_units + score.notes[:, 3]).tolist()
+    pitches = score.notes[:, 2].tolist()
     active: list[tuple[int, int]] = []  # (-pitch, end)
     last_end = 0
     start = 0
-    notes = score.notes
-    while start < len(notes):
+    while start < len(onsets):
         stop = start
-        onset = notes[start].onset_units
-        while stop < len(notes) and notes[stop].onset_units == onset:
-            heapq.heappush(active, (-notes[stop].pitch, notes[stop].end_units))
+        onset = onsets[start]
+        while stop < len(onsets) and onsets[stop] == onset:
+            heapq.heappush(active, (-pitches[stop], ends[stop]))
             stop += 1
         while active and active[0][1] <= onset:
             heapq.heappop(active)
         top = -active[0][0]
         for i in range(start, stop):
-            if notes[i].pitch == top and onset >= last_end:
+            if pitches[i] == top and onset >= last_end:
                 labels[i] = MELODY
-                last_end = notes[i].end_units
+                last_end = ends[i]
         start = stop
     return labels
 

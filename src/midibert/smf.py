@@ -5,13 +5,16 @@ bar, durations to half sub-beats (1/32 bar, 1..64 units). Quantization ties
 round up. Files whose time signature is not a constant 4/4 are rejected.
 The parser reads formats 0 and 1 from bytes, honors running status and
 declared chunk lengths, and reports errors with byte offsets; it never reads
-past a chunk boundary.
+past a chunk boundary. Notes are int64 rows from the parser on.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 SUB_BEATS_PER_BAR = 16
 DURATION_UNITS_PER_BAR = 32      # duration unit = half sub-beat
@@ -24,6 +27,9 @@ VELOCITY_BINS = ((0, 31), (32, 47), (48, 63), (64, 79), (80, 95), (96, 127))
 VELOCITY_NAMES = ("pp", "p", "mp", "mf", "f", "ff")
 # round-half-up midpoints; velocity_class_of(midpoint) recovers the class
 VELOCITY_MIDPOINTS = tuple((lo + hi + 1) // 2 for lo, hi in VELOCITY_BINS)
+
+NOTE_FIELDS = ("bar", "sub_beat", "pitch", "duration", "velocity_class")
+NO_VELOCITY = -1                 # velocity_class of a note without dynamics
 
 _DEFAULT_TEMPO_USPQ = 500_000    # 120 bpm, written into every output file
 DEFAULT_VELOCITY = 64            # written for notes without a velocity class
@@ -43,120 +49,82 @@ class UnsupportedMeterError(SmfError):
     pass
 
 
-def velocity_class_of(velocity: int) -> int:
-    """Map a MIDI velocity 0..127 to one of six dynamics classes 0..5."""
-    if not 0 <= velocity <= 127:
-        raise ValueError(f"velocity out of range 0..127: {velocity}")
-    for cls, (lo, hi) in enumerate(VELOCITY_BINS):
-        if lo <= velocity <= hi:
-            return cls
-    raise AssertionError("bins cover 0..127")
+def velocity_class_of(velocity):
+    """Map a MIDI velocity 0..127, or an int array of them, to the six
+    dynamics classes 0..5."""
+    velocity = np.asarray(velocity)
+    bad = velocity[(velocity < 0) | (velocity > 127)]
+    if bad.size:
+        raise ValueError(f"velocity out of range 0..127: {bad[0]}")
+    classes = np.searchsorted([hi for _, hi in VELOCITY_BINS], velocity)
+    return int(classes) if classes.ndim == 0 else classes
 
 
-@dataclass(frozen=True, slots=True)
-class RawNote:
-    """A note in tick time, straight out of a MIDI file."""
-
-    onset_ticks: int
-    duration_ticks: int
-    pitch: int
-    velocity: int
-
-    def __post_init__(self) -> None:
-        if self.onset_ticks < 0:
-            raise ValueError(f"negative onset: {self.onset_ticks}")
-        if self.duration_ticks <= 0:
-            raise ValueError(f"non-positive duration: {self.duration_ticks}")
-        if not 0 <= self.pitch <= 127:
-            raise ValueError(f"pitch out of range 0..127: {self.pitch}")
-        if not 1 <= self.velocity <= 127:
-            raise ValueError(f"velocity out of range 1..127: {self.velocity}")
+def note_rows(notes) -> np.ndarray:
+    """A new (N, 5) int64 array of note rows; `notes` may be empty."""
+    rows = np.array(notes, dtype=np.int64)
+    if rows.size == 0:
+        rows = rows.reshape(0, len(NOTE_FIELDS))
+    if rows.ndim != 2 or rows.shape[1] != len(NOTE_FIELDS):
+        raise ValueError(f"notes must be rows of {NOTE_FIELDS}, got shape {rows.shape}")
+    return rows
 
 
-@dataclass(frozen=True, slots=True)
-class QuantNote:
-    """A note on the bar grid.
+def onset_sub_beats(notes: np.ndarray) -> np.ndarray:
+    """Each note's global onset in sub-beats from the start of the piece."""
+    return notes[:, 0] * SUB_BEATS_PER_BAR + notes[:, 1] - 1
 
-    sub_beat is 1-based within the bar; duration_units counts half
-    sub-beats. velocity_class is present iff the source carried dynamics.
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Score:
+    """A quantized piece: a read-only (N, 5) int64 array of note rows sorted
+    by (onset, pitch), plus the bar count.
+
+    A row is (bar, sub_beat, pitch, duration, velocity_class): sub_beat is
+    1-based within the bar, duration counts half sub-beats, and
+    velocity_class is NO_VELOCITY unless the source carried dynamics.
     """
 
-    bar_index: int
-    sub_beat: int
-    pitch: int
-    duration_units: int
-    velocity_class: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.bar_index < 0:
-            raise ValueError(f"negative bar_index: {self.bar_index}")
-        if not 1 <= self.sub_beat <= SUB_BEATS_PER_BAR:
-            raise ValueError(f"sub_beat out of range 1..16: {self.sub_beat}")
-        if not PITCH_MIN <= self.pitch <= PITCH_MAX:
-            raise ValueError(
-                f"pitch out of range {PITCH_MIN}..{PITCH_MAX}: {self.pitch}"
-            )
-        if not 1 <= self.duration_units <= DURATION_UNIT_MAX:
-            raise ValueError(
-                f"duration_units out of range 1..{DURATION_UNIT_MAX}: "
-                f"{self.duration_units}"
-            )
-        if self.velocity_class is not None and not 0 <= self.velocity_class <= 5:
-            raise ValueError(f"velocity_class out of range 0..5: {self.velocity_class}")
-
-    @property
-    def onset_sub_beats(self) -> int:
-        """Global onset in sub-beats from the start of the piece."""
-        return self.bar_index * SUB_BEATS_PER_BAR + (self.sub_beat - 1)
-
-    @property
-    def onset_units(self) -> int:
-        """Global onset in duration units (half sub-beats)."""
-        return 2 * self.onset_sub_beats
-
-    @property
-    def end_units(self) -> int:
-        return self.onset_units + self.duration_units
-
-
-def note_sort_key(n: QuantNote) -> tuple[int, int, int, int]:
-    vc = -1 if n.velocity_class is None else n.velocity_class
-    return (n.onset_sub_beats, n.pitch, n.duration_units, vc)
-
-
-@dataclass(frozen=True, slots=True)
-class Score:
-    """A quantized piece: notes sorted by (onset, pitch), plus bar count."""
-
     source_id: str
-    notes: tuple[QuantNote, ...]
+    notes: np.ndarray
     num_bars: int
 
     def __post_init__(self) -> None:
+        notes = note_rows(self.notes)
+        notes.flags.writeable = False
+        object.__setattr__(self, "notes", notes)
         if self.num_bars < 0:
             raise ValueError(f"negative num_bars: {self.num_bars}")
-        limit = self.num_bars * SUB_BEATS_PER_BAR
-        prev = None
-        for n in self.notes:
-            if n.onset_sub_beats >= limit:
-                raise ValueError(
-                    f"note at bar {n.bar_index} outside num_bars={self.num_bars}"
-                )
-            key = (n.onset_sub_beats, n.pitch)
-            if prev is not None and key < prev:
-                raise ValueError("notes not sorted by (onset, pitch)")
-            prev = key
+        lowest = (0, 1, PITCH_MIN, 1, NO_VELOCITY)
+        highest = (self.num_bars - 1, SUB_BEATS_PER_BAR, PITCH_MAX, DURATION_UNIT_MAX,
+                   len(VELOCITY_BINS) - 1)
+        outside = (notes < lowest) | (notes > highest)
+        if outside.any():
+            i, column = np.argwhere(outside)[0]
+            raise ValueError(
+                f"note {i}: {NOTE_FIELDS[column]} {notes[i, column]} outside "
+                f"{lowest[column]}..{highest[column]}"
+            )
+        key = onset_sub_beats(notes) * (PITCH_MAX + 1) + notes[:, 2]
+        if (key[1:] < key[:-1]).any():
+            raise ValueError("notes not sorted by (onset, pitch)")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Score) and self.source_id == other.source_id
+                and self.num_bars == other.num_bars and np.array_equal(self.notes, other.notes))
 
 
-def make_score(source_id: str, notes: list[QuantNote], num_bars: int | None = None) -> Score:
-    """Sort notes into canonical order and wrap them in a Score.
+def make_score(source_id: str, notes, num_bars: int | None = None) -> Score:
+    """Sort note rows into canonical order, (onset, pitch, duration,
+    velocity_class), and wrap them in a Score.
 
     num_bars defaults to just enough bars to contain the last note.
     """
-    ordered = tuple(sorted(notes, key=note_sort_key))
+    rows = note_rows(notes)
+    rows = rows[np.lexsort(rows.T[::-1])]
     if num_bars is None:
-        num_bars = (ordered[-1].onset_sub_beats // SUB_BEATS_PER_BAR + 1) if ordered else 0
-    return Score(source_id=source_id, notes=ordered, num_bars=num_bars)
+        num_bars = int(rows[-1, 0]) + 1 if len(rows) else 0
+    return Score(source_id=source_id, notes=rows, num_bars=num_bars)
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,12 +163,14 @@ _HEADER = struct.Struct(">4sL")
 _MTHD_BODY = struct.Struct(">HHH")
 
 
-def parse_smf(data: bytes) -> tuple[list[RawNote], SmfMeta]:
+def parse_smf(data: bytes) -> tuple[np.ndarray, SmfMeta]:
     """Parse format-0/1 bytes into raw notes plus timing metadata.
 
-    Tracks are merged; note-ons pair FIFO per (track, channel, pitch) and a
-    velocity-0 note-on counts as a note-off. Unpaired note-ons are an error,
-    stray note-offs are dropped. Unknown chunk types are skipped.
+    The notes are an (N, 4) int64 array of (onset tick, duration ticks,
+    pitch, velocity) rows in ascending order. Tracks are merged; note-ons
+    pair FIFO per (track, channel, pitch) and a velocity-0 note-on counts as
+    a note-off. Unpaired note-ons are an error, stray note-offs are dropped.
+    Unknown chunk types are skipped.
     """
     if len(data) < _HEADER.size:
         raise SmfParseError("file shorter than a chunk header", 0)
@@ -220,7 +190,7 @@ def parse_smf(data: bytes) -> tuple[list[RawNote], SmfMeta]:
         raise SmfParseError("zero ticks per quarter", 12)
 
     pos = 8 + length
-    notes: list[RawNote] = []
+    notes: list[tuple[int, int, int, int]] = []
     signatures: list[tuple[int, int, int]] = []
     tracks_seen = 0
     while tracks_seen < ntrks:
@@ -239,31 +209,24 @@ def parse_smf(data: bytes) -> tuple[list[RawNote], SmfMeta]:
         # alien chunk types are allowed and skipped wholesale
         pos = body_end
 
-    notes.sort(key=lambda n: (n.onset_ticks, n.pitch, n.duration_ticks, n.velocity))
+    rows = np.array(notes, dtype=np.int64).reshape(-1, 4)
+    rows = rows[np.lexsort((rows[:, 3], rows[:, 1], rows[:, 2], rows[:, 0]))]
     signatures.sort(key=lambda s: s[0])
-    return notes, SmfMeta(ticks_per_quarter=division, time_signatures=tuple(signatures))
+    return rows, SmfMeta(ticks_per_quarter=division, time_signatures=tuple(signatures))
 
 
 def _parse_track(
     data: bytes,
     start: int,
     end: int,
-    notes: list[RawNote],
+    notes: list[tuple[int, int, int, int]],
     signatures: list[tuple[int, int, int]],
 ) -> None:
     pos = start
     tick = 0
     running: int | None = None
     # FIFO of (onset_tick, velocity, onset_offset) per (channel, pitch)
-    open_notes: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-
-    def close(channel: int, pitch: int, off_tick: int) -> None:
-        stack = open_notes.get((channel, pitch))
-        if not stack:
-            return  # stray note-off, dropped
-        on_tick, velocity, _ = stack.pop(0)
-        duration = max(1, off_tick - on_tick)  # zero-length pairs clamp to 1 tick
-        notes.append(RawNote(on_tick, duration, pitch, velocity))
+    open_notes: dict[tuple[int, int], deque[tuple[int, int, int]]] = {}
 
     while pos < end:
         delta, pos = _read_vlq(data, pos, end)
@@ -315,11 +278,15 @@ def _parse_track(
             first, pos = _read_data_byte(data, pos, end, "event data")
             second, pos = _read_data_byte(data, pos, end, "event data")
             if kind == 0x90 and second > 0:
-                open_notes.setdefault((channel, first), []).append(
+                open_notes.setdefault((channel, first), deque()).append(
                     (tick, second, event_offset)
                 )
             elif kind == 0x80 or (kind == 0x90 and second == 0):
-                close(channel, first, tick)
+                waiting = open_notes.get((channel, first))
+                if waiting:  # a stray note-off is dropped
+                    on_tick, velocity, _ = waiting.popleft()
+                    # zero-length pairs clamp to 1 tick
+                    notes.append((on_tick, max(1, tick - on_tick), first, velocity))
         elif kind in (0xC0, 0xD0):
             _, pos = _read_data_byte(data, pos, end, "event data")
         else:
@@ -342,13 +309,8 @@ def check_meter(meta: SmfMeta) -> None:
 
 # --- quantization ----------------------------------------------------------
 
-def _round_half_up(numerator: int, denominator: int) -> int:
-    # exact rational round-half-up; ties round up by construction
-    return (2 * numerator + denominator) // (2 * denominator)
-
-
-def quantize(raw_notes: list[RawNote], ticks_per_quarter: int, *, source_id: str = "") -> Score:
-    """Snap raw notes onto the sub-beat grid.
+def quantize(raw_notes, ticks_per_quarter: int, *, source_id: str = "") -> Score:
+    """Snap raw note rows, as parse_smf returns them, onto the sub-beat grid.
 
     Onsets round to the nearest sub-beat (tpq/4 ticks), durations to the
     nearest half sub-beat (tpq/8), both half-up; durations clamp to 1..64
@@ -357,22 +319,15 @@ def quantize(raw_notes: list[RawNote], ticks_per_quarter: int, *, source_id: str
     """
     if ticks_per_quarter <= 0:
         raise ValueError(f"ticks_per_quarter must be positive: {ticks_per_quarter}")
-    quantized: list[QuantNote] = []
-    for note in raw_notes:
-        onset = _round_half_up(note.onset_ticks * 4, ticks_per_quarter)
-        units = _round_half_up(note.duration_ticks * 8, ticks_per_quarter)
-        units = min(max(units, 1), DURATION_UNIT_MAX)
-        pitch = min(max(note.pitch, PITCH_MIN), PITCH_MAX)
-        quantized.append(
-            QuantNote(
-                bar_index=onset // SUB_BEATS_PER_BAR,
-                sub_beat=onset % SUB_BEATS_PER_BAR + 1,
-                pitch=pitch,
-                duration_units=units,
-                velocity_class=velocity_class_of(note.velocity),
-            )
-        )
-    return make_score(source_id, quantized)
+    ticks = np.array(raw_notes, dtype=np.int64).reshape(-1, 4)
+    onset_ticks, duration_ticks, pitch, velocity = ticks.T
+    # exact half-up rounding of n/d, ties up: (2n + d) // 2d
+    onset = (8 * onset_ticks + ticks_per_quarter) // (2 * ticks_per_quarter)
+    units = (16 * duration_ticks + ticks_per_quarter) // (2 * ticks_per_quarter)
+    return make_score(source_id, np.stack([
+        onset // SUB_BEATS_PER_BAR, onset % SUB_BEATS_PER_BAR + 1, pitch.clip(PITCH_MIN, PITCH_MAX),
+        units.clip(1, DURATION_UNIT_MAX), velocity_class_of(velocity),
+    ], axis=1))
 
 
 # --- writing ---------------------------------------------------------------
@@ -391,9 +346,9 @@ def _vlq(value: int) -> bytes:
 def write_smf(score: Score) -> bytes:
     """Serialize a Score as a single-track format-0 file at 480 tpq.
 
-    Note-on velocity is the dynamics-bin midpoint when velocity_class is
-    present, else DEFAULT_VELOCITY. Trailing bars with no notes are not
-    representable and will not survive a read-back.
+    Note-on velocity is the dynamics-bin midpoint of a note's
+    velocity_class, or DEFAULT_VELOCITY for NO_VELOCITY. Trailing bars with
+    no notes are not representable and will not survive a read-back.
     """
     sub_beat_ticks = WRITE_TPQ // 4
     unit_ticks = WRITE_TPQ // 8
@@ -403,23 +358,22 @@ def write_smf(score: Score) -> bytes:
     # free for that pitch. Score order is already (onset, pitch).
     active: dict[int, list[tuple[int, int]]] = {}  # pitch -> [(end_tick, channel)]
     events: list[tuple[int, int, int, int, int]] = []  # (tick, order, pitch, channel, velocity)
-    for note in score.notes:
-        on = note.onset_sub_beats * sub_beat_ticks
-        off = on + note.duration_units * unit_ticks
+    onsets = (onset_sub_beats(score.notes) * sub_beat_ticks).tolist()
+    for on, (_, _, pitch, units, velocity_class) in zip(onsets, score.notes.tolist()):
+        off = on + units * unit_ticks
         velocity = (
-            VELOCITY_MIDPOINTS[note.velocity_class]
-            if note.velocity_class is not None
-            else DEFAULT_VELOCITY
+            DEFAULT_VELOCITY if velocity_class == NO_VELOCITY
+            else VELOCITY_MIDPOINTS[velocity_class]
         )
-        still = [(end, ch) for end, ch in active.get(note.pitch, []) if end > on]
+        still = [(end, ch) for end, ch in active.get(pitch, []) if end > on]
         used = {ch for _, ch in still}
         channel = next((ch for ch in range(16) if ch not in used), None)
         if channel is None:
-            raise SmfError(f"more than 16 overlapping notes at pitch {note.pitch}")
+            raise SmfError(f"more than 16 overlapping notes at pitch {pitch}")
         still.append((off, channel))
-        active[note.pitch] = still
-        events.append((on, 1, note.pitch, channel, velocity))
-        events.append((off, 0, note.pitch, channel, 0))  # offs first at equal ticks
+        active[pitch] = still
+        events.append((on, 1, pitch, channel, velocity))
+        events.append((off, 0, pitch, channel, 0))  # offs first at equal ticks
     events.sort()
 
     track = bytearray()

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smf import DURATION_UNIT_MAX, PITCH_MAX, PITCH_MIN, SUB_BEATS_PER_BAR, QuantNote, Score
+from .smf import (
+    DURATION_UNIT_MAX, NO_VELOCITY, PITCH_MAX, PITCH_MIN, SUB_BEATS_PER_BAR, Score, note_rows,
+)
 
 CHUNK_LEN = 512
 
@@ -117,17 +119,11 @@ def vocab(representation: str) -> Vocabulary:
 
 # --- encoding ---------------------------------------------------------------
 
-def _note_columns(score: Score) -> np.ndarray:
-    """(notes, 4) int64 of bar, sub-beat, pitch and duration per note; the
-    bars ascend, since a Score's notes are sorted by onset."""
-    columns = [(n.bar_index, n.sub_beat, n.pitch, n.duration_units) for n in score.notes]
-    return np.array(columns, dtype=np.int64).reshape(-1, 4)
-
-
 def encode_remi(score: Score) -> np.ndarray:
     """(steps,) ids: a Bar marker per bar (empty bars included), then three
-    events per note."""
-    notes = _note_columns(score)
+    events per note. A Score's note rows are sorted by onset, so their bars
+    ascend."""
+    notes = score.notes
     bars = np.arange(score.num_bars)
     out = np.empty(score.num_bars + 3 * len(notes), dtype=np.int64)
     # a bar's marker follows the earlier bars' markers and their notes' events
@@ -142,9 +138,9 @@ def encode_remi(score: Score) -> np.ndarray:
 def encode_cp(score: Score) -> np.ndarray:
     """(steps, 4) ids: one super token per note; an empty bar is
     (New, Pad, Pad, Pad)."""
-    notes = _note_columns(score)
+    notes = score.notes
     bars = notes[:, 0]
-    steps = notes + [1 - lowest for lowest, _ in _CP_CONTENT]
+    steps = notes[:, :4] + [1 - lowest for lowest, _ in _CP_CONTENT]
     # New on the first note of its bar, Cont on the rest
     steps[:, 0] = np.where(np.searchsorted(bars, bars) == np.arange(len(bars)), _NEW, _CONT)
     empty = np.flatnonzero(np.bincount(bars, minlength=score.num_bars) == 0)
@@ -167,7 +163,7 @@ def decode_remi(ids, *, source_id: str = "decoded") -> Score:
     """Inverse of encode_remi. Pad and Mask steps are skipped; an id outside
     the vocabulary, or anything that breaks the Bar / Sub-beat Pitch
     Duration grammar, raises DecodeError with the offending step index."""
-    notes: list[QuantNote] = []
+    notes: list[tuple[int, ...]] = []
     bar = -1
     pending: list[tuple[int, int]] = []  # (value, step) of the note's events so far
     for step, token_id in enumerate(np.asarray(ids).tolist()):
@@ -186,7 +182,7 @@ def decode_remi(ids, *, source_id: str = "decoded") -> Score:
             raise DecodeError(f"expected {expected}, found {kind}", step)
         pending.append((value, step))
         if len(pending) == 3:
-            notes.append(QuantNote(bar, *(v for v, _ in pending)))
+            notes.append((bar, *(v for v, _ in pending), NO_VELOCITY))
             pending.clear()
     if pending:
         raise DecodeError("stream ends inside a note", pending[0][1])
@@ -198,7 +194,7 @@ def decode_cp(ids, *, source_id: str = "decoded") -> Score:
     outside its field, mixed Pad/Mask fields or Cont before any New raise
     DecodeError."""
     masks = CpVocab().mask_ids().tolist()
-    notes: list[QuantNote] = []
+    notes: list[tuple[int, ...]] = []
     bar = -1
     for step, row in enumerate(np.asarray(ids).tolist()):
         for name, value, mask in zip(CP_FIELDS, row, masks):
@@ -217,14 +213,17 @@ def decode_cp(ids, *, source_id: str = "decoded") -> Score:
             bar += 1
         elif bar < 0:
             raise DecodeError("Cont before any New", step)
-        notes.append(QuantNote(
-            bar, *(v - 1 + lowest for v, (lowest, _) in zip(row[1:], _CP_CONTENT[1:]))
+        notes.append((
+            bar, *(v - 1 + lowest for v, (lowest, _) in zip(row[1:], _CP_CONTENT[1:])),
+            NO_VELOCITY,
         ))
     return _decoded(source_id, notes, bar + 1)
 
 
-def _decoded(source_id: str, notes: list[QuantNote], num_bars: int) -> Score:
-    return Score(source_id, tuple(sorted(notes, key=lambda n: (n.onset_sub_beats, n.pitch))), num_bars)
+def _decoded(source_id: str, notes: list[tuple[int, ...]], num_bars: int) -> Score:
+    """The decoded rows in a stable sort by (onset, pitch)."""
+    rows = note_rows(notes)
+    return Score(source_id, rows[np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))], num_bars)
 
 
 # --- chunking ---------------------------------------------------------------

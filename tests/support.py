@@ -3,18 +3,16 @@ the autodiff ops and score helper that only the tests use."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from midibert import autodiff as ad
 from midibert import evaluate
 from midibert.autodiff import Tensor, _accumulate, _result, _unbroadcast
 from midibert.smf import (
+    NO_VELOCITY,
     PITCH_MAX,
     PITCH_MIN,
     SUB_BEATS_PER_BAR,
-    QuantNote,
     Score,
     make_score,
 )
@@ -53,11 +51,9 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def strip_velocity(score: Score) -> Score:
-    return Score(
-        source_id=score.source_id,
-        notes=tuple(replace(n, velocity_class=None) for n in score.notes),
-        num_bars=score.num_bars,
-    )
+    notes = score.notes.copy()
+    notes[:, 4] = NO_VELOCITY
+    return Score(source_id=score.source_id, notes=notes, num_bars=score.num_bars)
 
 
 # --- fixtures and oracles --------------------------------------------------------
@@ -81,16 +77,21 @@ def skyline_oracle(score) -> np.ndarray:
     """Direct transcription of the rule: a note is melody iff its pitch is
     the maximum among notes sounding at its onset and it starts at or after
     the end of the previously selected melody note."""
+    # (onset, end, pitch) per note, in duration units (half sub-beats)
+    notes = [
+        (2 * (bar * SUB_BEATS_PER_BAR + sub_beat - 1),
+         2 * (bar * SUB_BEATS_PER_BAR + sub_beat - 1) + duration, pitch)
+        for bar, sub_beat, pitch, duration, _ in score.notes.tolist()
+    ]
     labels = []
     last_end = None
-    for note in score.notes:
-        t = note.onset_units
-        sounding = [m for m in score.notes if m.onset_units <= t < m.end_units]
-        is_top = note.pitch == max(m.pitch for m in sounding)
+    for t, end, pitch in notes:
+        sounding = [m for m in notes if m[0] <= t < m[1]]
+        is_top = pitch == max(m[2] for m in sounding)
         free = last_end is None or t >= last_end
         if is_top and free:
             labels.append(evaluate.MELODY)
-            last_end = note.end_units
+            last_end = end
         else:
             labels.append(evaluate.NON_MELODY)
     return np.array(labels, dtype=np.int64)
@@ -106,7 +107,8 @@ def random_grid_score(
     allow_empty_bars: bool = True,
     allow_trailing_empty_bars: bool = False,
 ) -> Score:
-    """A random well-formed Score.
+    """A random well-formed Score, velocity classes NO_VELOCITY unless
+    with_velocity.
 
     Unless allow_trailing_empty_bars is set, the last bar holds at least one
     note so the score survives an SMF write/read (num_bars is re-inferred
@@ -114,7 +116,7 @@ def random_grid_score(
     """
     num_bars = int(rng.integers(1, max_bars + 1))
     taken: set[tuple[int, int]] = set()  # (onset, pitch) must be unique
-    notes: list[QuantNote] = []
+    notes: list[tuple[int, int, int, int, int]] = []
     for bar in range(num_bars):
         low = 0 if allow_empty_bars else 1
         if bar == num_bars - 1 and not allow_trailing_empty_bars:
@@ -127,31 +129,15 @@ def random_grid_score(
             if (onset, pitch) in taken:
                 continue
             taken.add((onset, pitch))
-            notes.append(
-                QuantNote(
-                    bar_index=bar,
-                    sub_beat=sub_beat,
-                    pitch=pitch,
-                    duration_units=int(rng.integers(1, 65)),
-                    velocity_class=int(rng.integers(0, 6)) if with_velocity else None,
-                )
-            )
+            duration = int(rng.integers(1, 65))
+            velocity = int(rng.integers(0, 6)) if with_velocity else NO_VELOCITY
+            notes.append((bar, sub_beat, pitch, duration, velocity))
         if bar == num_bars - 1 and not allow_trailing_empty_bars and not any(
-            n.bar_index == bar for n in notes
+            n[0] == bar for n in notes
         ):
-            notes.append(
-                QuantNote(
-                    bar_index=bar,
-                    sub_beat=1,
-                    pitch=60,
-                    duration_units=4,
-                    velocity_class=3 if with_velocity else None,
-                )
-            )
+            notes.append((bar, 1, 60, 4, 3 if with_velocity else NO_VELOCITY))
     if allow_trailing_empty_bars:
-        return Score(
-            source_id=source_id,
-            notes=tuple(sorted(notes, key=lambda n: (n.onset_sub_beats, n.pitch))),
-            num_bars=num_bars,
-        )
+        # (bar, sub_beat, pitch) order is (onset, pitch) order
+        return Score(source_id=source_id, notes=sorted(notes, key=lambda n: n[:3]),
+                     num_bars=num_bars)
     return make_score(source_id, notes)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from midibert import tokens, train
 from midibert.smf import parse_smf, quantize, write_smf
 from midibert.tokens import decode_cp, decode_remi, encode_cp, encode_remi
 
-from .support import random_grid_score, skyline_oracle, widen
+from .support import random_grid_score, skyline_oracle, strip_velocity, widen
 
 
 def check(n: int, ok: bool, detail: str) -> None:
@@ -73,9 +72,7 @@ def test_02_codec_and_smf_round_trips():
     failures = 0
     for i in range(n):
         score = random_grid_score(rng, source_id=f"rt_{i}")
-        plain = replace(
-            score, notes=tuple(replace(q, velocity_class=None) for q in score.notes)
-        )
+        plain = strip_velocity(score)
         codec_ok = (
             decode_remi(encode_remi(plain), source_id=plain.source_id) == plain
             and decode_cp(encode_cp(plain), source_id=plain.source_id) == plain

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -147,7 +148,7 @@ class TestPrepare:
     def test_piece_without_notes_skipped_unless_strict(self, tmp_path, capsys):
         midi = tmp_path / "midi"
         assert run("synth", "--task", "emotion", "--out", midi, "--pieces", 4, "--bars", 2) == 0
-        (midi / "silent.mid").write_bytes(smf.write_smf(smf.Score("silent", (), 0)))
+        (midi / "silent.mid").write_bytes(smf.write_smf(smf.Score("silent", [], 0)))
         labels = midi / "seq_labels.csv"
         labels.write_text(labels.read_text() + "silent,HVHA\n")
         store = tmp_path / "lenient"
@@ -195,6 +196,100 @@ class TestPrepare:
         empty.mkdir()
         assert run("prepare", "--midi", empty, "--task", "pretrain",
                    "--out", tmp_path / "x") == 2
+
+
+def _vlq(value: int) -> bytes:
+    out = [value & 0x7F]
+    value >>= 7
+    while value:
+        out.append(0x80 | value & 0x7F)
+        value >>= 7
+    return bytes(reversed(out))
+
+
+def off_grid_file(seed: int, tpq: int) -> bytes:
+    """A format-0 file written event by event rather than by smf.write_smf.
+    Onsets and lengths fall off the grid at odd ticks, and where tpq allows
+    on exact half-sub-beat and half-unit ties; pitches and lengths run past
+    the clamps; velocities hit the bin edges; notes of one pitch overlap on
+    one channel; some notes start and end on the same tick; later notes use
+    running status."""
+    rng = np.random.default_rng([seed, tpq])
+    events = []  # (tick, order, index, message)
+    for i in range(40):
+        onset = int(rng.integers(0, 16 * tpq))
+        if i % 5 == 0:
+            onset = (2 * int(rng.integers(0, 32)) + 1) * tpq // 8  # a tie when 8 | tpq
+        length = int(rng.choice([1, 7, tpq // 16 * 3, 2 * tpq + 1, 9 * tpq, 0]))
+        pitch = int(rng.choice([5, 21, 22, 60, 61, 107, 108, 127])) if i % 3 else 60
+        velocity = int(rng.choice([1, 31, 32, 47, 48, 63, 64, 79, 80, 95, 96, 127]))
+        channel = i % 2 if i % 3 else 0
+        if length:  # at one tick offs go first, so a note may end where the next starts
+            events.append((onset, 1, i, (0x90 | channel, pitch, velocity)))
+            events.append((onset + length, 0, i, (0x80 | channel, pitch, 0)))
+        else:  # a zero-length pair: on, then off, after the rest of that tick
+            events.append((onset, 2, i, (0x90 | channel, pitch, velocity)))
+            events.append((onset, 3, i, (0x90 | channel, pitch, 0)))
+    events.sort()
+    track = bytearray(b"\x00\xff\x58\x04\x04\x02\x18\x08")
+    tick, status = 0, None
+    for event_tick, _, _, message in events:
+        track += _vlq(event_tick - tick)
+        tick = event_tick
+        track += bytes(message[1:] if message[0] == status else message)
+        status = message[0]
+    track += b"\x00\xff\x2f\x00"
+    return (b"MThd" + struct.pack(">LHHH", 6, 0, 1, tpq)
+            + b"MTrk" + struct.pack(">L", len(track)) + track)
+
+
+def _store_digest(store: Path) -> str:
+    h = hashlib.sha256()
+    for name in ("chunks.jsonl", "manifest.csv", "note_labels.csv", "seq_labels.csv"):
+        if (store / name).exists():
+            h.update(name.encode() + b"\0" + (store / name).read_bytes())
+    return h.hexdigest()
+
+
+class TestPrepareBytes:
+    """The bytes `prepare` writes from MIDI files: chunks.jsonl, manifest.csv
+    and the label file, through the SMF reader and the quantizer."""
+
+    @pytest.mark.parametrize("task_name, representation, digest", [
+        ("melody", "remi", "467ba53a5a84e4173018afeb5c05d9262101f70028d917facbd422fc89fd5ce7"),
+        ("melody", "cp", "dfeee3321aef907bc65050034fef7e7dfab0a94f636d1724c28d34f4817395f1"),
+        ("velocity", "remi", "27b75377069a6c8e2f14d6d05fe03bd1569738d09c4dac2d3e1e7c4cda48f637"),
+        ("velocity", "cp", "27af9836a40d0fd60c58497736c541f531a00de1fda78b903ac66e2191397ac1"),
+        ("composer", "remi", "ca019cff1a7e381aa1b9129aa79b0b91d4aea8d644cd78be93198777d76b1731"),
+        ("composer", "cp", "6b8c2863e683b63fbc6cd349a840ffde39f56bd2daa448efc80b6fb3f36d741b"),
+        ("emotion", "remi", "c1048a3016c69349aa4a071aa56b12db06b5f65a8d5edfc74df1deb5cc1da7db"),
+        ("emotion", "cp", "5e72be8effc522fdf8ebae01004d09a965658cf3ead34cff86af14e9a7f961ca"),
+        ("pretrain", "remi", "a3ad11a92561ad4b16b54c6c859d96dd115ee4301d71debe4fa622cd35365aa4"),
+        ("pretrain", "cp", "d385432542dc87f9017924df87267c6714134560787fc0c78ebadc7aa5d64835"),
+    ])
+    def test_synth_corpus(self, tmp_path, task_name, representation, digest):
+        midi, store = tmp_path / "midi", tmp_path / "store"
+        assert run("synth", "--task", task_name, "--out", midi,
+                   "--pieces", 4, "--bars", 6, "--seed", 5) == 0
+        labels = {"melody": ["--note-labels", midi / "note_labels.csv"],
+                  "composer": ["--seq-labels", midi / "seq_labels.csv"],
+                  "emotion": ["--seq-labels", midi / "seq_labels.csv"]}.get(task_name, [])
+        assert run("prepare", "--midi", midi, "--task", task_name, "--out", store,
+                   "--representation", representation, "--ratios", "2,1,1", *labels) == 0
+        assert _store_digest(store) == digest
+
+    @pytest.mark.parametrize("representation, digest", [
+        ("remi", "28761506734e26dc939406c0a796ae234c8615f5339290bf01c8f92d084d42e4"),
+        ("cp", "cbb8d0fd5adf569ed6b54bb84078cc30f433a84ff1dd1a9ef9a46119c106fb0a"),
+    ])
+    def test_off_grid_files(self, tmp_path, representation, digest):
+        midi, store = tmp_path / "midi", tmp_path / "store"
+        midi.mkdir()
+        for tpq in (96, 97, 100, 101, 112, 120):
+            (midi / f"tpq{tpq}.mid").write_bytes(off_grid_file(3, tpq))
+        assert run("prepare", "--midi", midi, "--task", "velocity", "--out", store,
+                   "--representation", representation, "--ratios", "2,1,1", "--strict") == 0
+        assert _store_digest(store) == digest
 
 
 @pytest.fixture(scope="module")

@@ -39,7 +39,7 @@ from midibert.corpus import (
     write_note_labels,
     write_seq_labels,
 )
-from midibert.smf import QuantNote, make_score, write_smf
+from midibert.smf import NO_VELOCITY, make_score, write_smf
 from midibert.tokens import CHUNK_LEN, ChunkedSequence, chunk, encode_cp, encode_remi, vocab
 
 
@@ -92,27 +92,26 @@ class TestSplits:
 
 class TestLabeledPiece:
     def test_count_mismatch_names_piece(self):
-        score = make_score("pop_042", [QuantNote(0, 1, 60, 4), QuantNote(0, 5, 64, 4)])
+        score = make_score("pop_042", [(0, 1, 60, 4, NO_VELOCITY), (0, 5, 64, 4, NO_VELOCITY)])
         with pytest.raises(ValueError, match="pop_042.*2 notes.*1 labels"):
             LabeledPiece(score=score, task=task("melody"), note_labels=(0,))
 
     def test_label_out_of_range(self):
-        score = make_score("s", [QuantNote(0, 1, 60, 4)])
+        score = make_score("s", [(0, 1, 60, 4, NO_VELOCITY)])
         with pytest.raises(ValueError, match="outside 0..2"):
             LabeledPiece(score=score, task=task("melody"), note_labels=(7,))
 
     def test_sequence_label_required(self):
-        score = make_score("s", [QuantNote(0, 1, 60, 4)])
+        score = make_score("s", [(0, 1, 60, 4, NO_VELOCITY)])
         with pytest.raises(ValueError, match="bad sequence label"):
             LabeledPiece(score=score, task=task("composer"))
 
     def test_derive_velocity_labels(self):
-        score = make_score("s", [QuantNote(0, 1, 60, 4, velocity_class=5),
-                                 QuantNote(0, 5, 62, 4, velocity_class=0)])
+        score = make_score("s", [(0, 1, 60, 4, 5), (0, 5, 62, 4, 0)])
         assert derive_velocity_labels(score) == (5, 0)
 
     def test_derive_velocity_requires_dynamics(self):
-        score = make_score("s", [QuantNote(0, 1, 60, 4)])
+        score = make_score("s", [(0, 1, 60, 4, NO_VELOCITY)])
         with pytest.raises(ValueError, match="no velocity"):
             derive_velocity_labels(score)
 
@@ -145,21 +144,22 @@ class TestSynthMelody:
         pieces = synth_corpus(SynthSpec("melody", 4, bars_per_piece=12), seed=9)
         melody_id = task("melody").class_names.index("melody")
         for piece in pieces:
-            for note, label in zip(piece.score.notes, piece.note_labels):
+            for pitch, label in zip(piece.score.notes[:, 2].tolist(), piece.note_labels):
                 if label == melody_id:
-                    assert 72 <= note.pitch <= 96
+                    assert 72 <= pitch <= 96
                 else:
-                    assert 36 <= note.pitch <= 60
+                    assert 36 <= pitch <= 60
 
     def test_melody_voice_tiles_each_bar(self):
         (piece,) = synth_corpus(SynthSpec("melody", 1, bars_per_piece=10), seed=5)
         melody_id = task("melody").class_names.index("melody")
         for bar in range(piece.score.num_bars):
             spans = sorted(
-                (n.onset_units, n.end_units)
-                for n, l in zip(piece.score.notes, piece.note_labels)
-                if l == melody_id and n.bar_index == bar
-            )
+                (2 * (16 * n_bar + sub_beat - 1), 2 * (16 * n_bar + sub_beat - 1) + duration)
+                for (n_bar, sub_beat, _, duration, _), l
+                in zip(piece.score.notes.tolist(), piece.note_labels)
+                if l == melody_id and n_bar == bar
+            )  # (onset, end) in duration units
             assert spans[0][0] == bar * 32
             assert spans[-1][1] == (bar + 1) * 32
             assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
@@ -175,9 +175,11 @@ class TestSynthVelocity:
     def test_class_is_function_of_sub_beat(self):
         pieces = synth_corpus(SynthSpec("velocity", 3), seed=1)
         for piece in pieces:
-            for note, label in zip(piece.score.notes, piece.note_labels):
-                assert label == note.velocity_class
-                assert label == (note.sub_beat - 1) * 5 % 6
+            for (_, sub_beat, _, _, velocity_class), label in zip(
+                piece.score.notes.tolist(), piece.note_labels
+            ):
+                assert label == velocity_class
+                assert label == (sub_beat - 1) * 5 % 6
 
     def test_all_six_classes_present(self):
         pieces = synth_corpus(SynthSpec("velocity", 6, bars_per_piece=20), seed=1)
@@ -197,7 +199,7 @@ class TestSynthClassified:
         for piece in pieces:
             k = piece.sequence_label
             scale = {((k * 5) % 12 + o) % 12 for o in (0, 2, 4, 7, 9)}
-            assert {n.pitch % 12 for n in piece.score.notes} <= scale
+            assert set((piece.score.notes[:, 2] % 12).tolist()) <= scale
 
     def test_histogram_centroid_separates_classes(self):
         # oracle: nearest centroid on pitch-class histograms beats chance by far
@@ -206,8 +208,8 @@ class TestSynthClassified:
 
         def histogram(piece):
             h = np.zeros(12)
-            for n in piece.score.notes:
-                h[n.pitch % 12] += 1
+            for pitch in piece.score.notes[:, 2].tolist():
+                h[pitch % 12] += 1
             return h / h.sum()
 
         centroids = np.stack([
@@ -226,14 +228,13 @@ class TestSynthPretrain:
         pieces = synth_corpus(SynthSpec("pretrain", 5, bars_per_piece=6, style="ostinato"), seed=0)
         for piece in pieces:
             assert len(piece.score.notes) == 4 * 6
-            first_bar = [(n.sub_beat, n.pitch, n.duration_units)
-                         for n in piece.score.notes if n.bar_index == 0]
+            notes = piece.score.notes
+            first_bar = notes[notes[:, 0] == 0, 1:4].tolist()  # sub-beat, pitch, duration
             for bar in range(1, 6):
-                assert [(n.sub_beat, n.pitch, n.duration_units)
-                        for n in piece.score.notes if n.bar_index == bar] == first_bar
+                assert notes[notes[:, 0] == bar, 1:4].tolist() == first_bar
         # four distinct patterns cycle
-        assert pieces[0].score.notes[0].pitch != pieces[1].score.notes[0].pitch
-        assert pieces[4].score.notes[0].pitch == pieces[0].score.notes[0].pitch
+        assert pieces[0].score.notes[0, 2] != pieces[1].score.notes[0, 2]
+        assert pieces[4].score.notes[0, 2] == pieces[0].score.notes[0, 2]
 
     def test_pop_style_chunk_bar_coverage_ratio(self):
         # CP packs ≥2.5x more bars into a 512-step chunk at pop density

@@ -9,22 +9,28 @@ from hypothesis import strategies as st
 
 from midibert import corpus, evaluate
 from midibert.corpus import IGNORE_LABEL, TASKS, SynthSpec, synth_corpus
-from midibert.smf import QuantNote, make_score
+from midibert.smf import NO_VELOCITY, make_score
 
 from .support import skyline_oracle
 
 
 def random_score(rng, n_notes, bars=4):
     notes = [
-        QuantNote(
-            bar_index=int(rng.integers(0, bars)),
-            sub_beat=int(rng.integers(1, 17)),
-            pitch=int(rng.integers(22, 108)),
-            duration_units=int(rng.integers(1, 65)),
+        (
+            int(rng.integers(0, bars)),  # bar
+            int(rng.integers(1, 17)),    # sub-beat
+            int(rng.integers(22, 108)),  # pitch
+            int(rng.integers(1, 65)),    # duration
+            NO_VELOCITY,
         )
         for _ in range(n_notes)
     ]
     return make_score("random", notes)
+
+
+def note(bar: int, sub_beat: int, pitch: int, duration: int) -> tuple[int, ...]:
+    """A note row without dynamics."""
+    return (bar, sub_beat, pitch, duration, NO_VELOCITY)
 
 
 class TestAccuracy:
@@ -149,31 +155,31 @@ class TestMajorityBaseline:
 
 class TestSkyline:
     def test_single_note_is_melody(self):
-        score = make_score("s", [QuantNote(0, 1, 60, 4)])
+        score = make_score("s", [note(0, 1, 60, 4)])
         assert evaluate.skyline(score).tolist() == [evaluate.MELODY]
 
     def test_simultaneous_notes_keep_highest(self):
-        score = make_score("s", [QuantNote(0, 1, 60, 4), QuantNote(0, 1, 72, 4)])
+        score = make_score("s", [note(0, 1, 60, 4), note(0, 1, 72, 4)])
         labels = evaluate.skyline(score)
-        by_pitch = {n.pitch: l for n, l in zip(score.notes, labels)}
+        by_pitch = dict(zip(score.notes[:, 2].tolist(), labels.tolist()))
         assert by_pitch[72] == evaluate.MELODY
         assert by_pitch[60] == evaluate.NON_MELODY
 
     def test_sustained_high_note_shadows_later_low_note(self):
         # the held top note is still sounding at the later onset
-        score = make_score("s", [QuantNote(0, 1, 80, 16), QuantNote(0, 3, 60, 4)])
+        score = make_score("s", [note(0, 1, 80, 16), note(0, 3, 60, 4)])
         labels = evaluate.skyline(score)
         assert labels.tolist() == [evaluate.MELODY, evaluate.NON_MELODY]
 
     def test_overlapping_top_note_excluded_by_monophony(self):
         # the second note is the top at its onset but overlaps the first
         # selected note, so the rule skips it
-        score = make_score("s", [QuantNote(0, 1, 80, 8), QuantNote(0, 3, 90, 4)])
+        score = make_score("s", [note(0, 1, 80, 8), note(0, 3, 90, 4)])
         labels = evaluate.skyline(score)
         assert labels.tolist() == [evaluate.MELODY, evaluate.NON_MELODY]
 
     def test_back_to_back_notes_both_selected(self):
-        score = make_score("s", [QuantNote(0, 1, 80, 4), QuantNote(0, 3, 70, 4)])
+        score = make_score("s", [note(0, 1, 80, 4), note(0, 3, 70, 4)])
         assert evaluate.skyline(score).tolist() == [evaluate.MELODY, evaluate.MELODY]
 
     def test_matches_declarative_oracle_on_random_scores(self):
@@ -189,10 +195,11 @@ class TestSkyline:
     def test_selected_line_is_monophonic(self, seed, n_notes):
         score = random_score(np.random.default_rng(seed), n_notes)
         labels = evaluate.skyline(score)
-        chosen = [n for n, l in zip(score.notes, labels) if l == evaluate.MELODY]
-        for prev, cur in zip(chosen, chosen[1:]):
-            assert cur.onset_units >= prev.end_units
-        onsets = [n.onset_units for n in chosen]
+        bar, sub_beat, _, duration, _ = score.notes[labels == evaluate.MELODY].T
+        onsets = (2 * (16 * bar + sub_beat - 1)).tolist()  # in duration units
+        ends = (2 * (16 * bar + sub_beat - 1) + duration).tolist()
+        for prev_end, onset in zip(ends, onsets[1:]):
+            assert onset >= prev_end
         assert len(onsets) == len(set(onsets))
 
     def test_perfect_on_layered_synthetic_corpus(self):

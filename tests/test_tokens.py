@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from midibert.smf import PITCH_MIN, QuantNote, Score, make_score
+from midibert.smf import NO_VELOCITY, PITCH_MIN, Score, make_score
 from midibert.tokens import (
     CHUNK_LEN,
     CP_FIELDS,
@@ -29,6 +29,11 @@ from .support import random_grid_score, strip_velocity
 
 REMI_PAD, REMI_BAR, REMI_MASK = 0, 1, 168
 CP_PAD, CP_MASK, CP_EMPTY_BAR = [0, 0, 0, 0], [3, 17, 87, 65], [1, 0, 0, 0]
+
+
+def note(bar: int, sub_beat: int, pitch: int, duration: int) -> tuple[int, ...]:
+    """A note row without dynamics."""
+    return (bar, sub_beat, pitch, duration, NO_VELOCITY)
 
 
 class TestVocab:
@@ -54,7 +59,7 @@ class TestVocab:
     def test_ids_are_dense_ascending_blocks(self):
         # each block's lowest and highest value, encoded: Sub-beat directly
         # after Bar, then Pitch, then Duration, each ascending
-        score = make_score("s", [QuantNote(0, 1, 22, 1), QuantNote(0, 16, 107, 64)])
+        score = make_score("s", [note(0, 1, 22, 1), note(0, 16, 107, 64)])
         ids = encode_remi(score).tolist()
         assert [ids[1], ids[4]] == [2, 17]
         assert [ids[2], ids[5]] == [18, 103]
@@ -69,8 +74,8 @@ class TestVocab:
 
 def two_bar_six_note_score() -> Score:
     notes = [
-        QuantNote(0, 1, 60, 8), QuantNote(0, 5, 64, 8), QuantNote(0, 9, 67, 16),
-        QuantNote(1, 1, 72, 8), QuantNote(1, 9, 71, 8), QuantNote(1, 13, 69, 4),
+        note(0, 1, 60, 8), note(0, 5, 64, 8), note(0, 9, 67, 16),
+        note(1, 1, 72, 8), note(1, 9, 71, 8), note(1, 13, 69, 4),
     ]
     return make_score("fig", notes)
 
@@ -88,13 +93,13 @@ class TestEncode:
             score = random_grid_score(
                 rng, with_velocity=False, allow_trailing_empty_bars=True
             )
-            empty_bars = score.num_bars - len({n.bar_index for n in score.notes})
+            empty_bars = score.num_bars - len(set(score.notes[:, 0].tolist()))
             assert len(encode_remi(score)) == 3 * len(score.notes) + score.num_bars
             assert len(encode_cp(score)) == len(score.notes) + empty_bars
 
     def test_remi_stream_shape(self):
         # Bar, Sub-beat(3), Pitch(60), Duration(8)
-        score = make_score("s", [QuantNote(0, 3, 60, 8)])
+        score = make_score("s", [note(0, 3, 60, 8)])
         assert encode_remi(score).tolist() == [1, 4, 56, 111]
 
     def test_cp_bar_flags(self):
@@ -103,12 +108,12 @@ class TestEncode:
         assert flags == [1, 2, 2, 1, 2, 2]  # New Cont Cont New Cont Cont
 
     def test_empty_bar_forms(self):
-        score = Score("s", (QuantNote(1, 1, 60, 4),), num_bars=2)
+        score = Score("s", [note(1, 1, 60, 4)], num_bars=2)
         assert encode_remi(score)[:2].tolist() == [REMI_BAR, REMI_BAR]
         assert encode_cp(score)[0].tolist() == CP_EMPTY_BAR
 
     def test_empty_score(self):
-        score = Score("s", (), num_bars=0)
+        score = Score("s", [], num_bars=0)
         assert encode_remi(score).shape == (0,) and encode_cp(score).shape == (0, 4)
 
 
@@ -185,7 +190,7 @@ class TestChunk:
         assert chunk(np.zeros((0, 4), dtype=np.int64), "p") == []
 
     def test_pad_fill_and_window_count(self):
-        score = Score("s", (), num_bars=600)  # 600 Bar tokens
+        score = Score("s", [], num_bars=600)  # 600 Bar tokens
         chunks = chunk(encode_remi(score), "p")
         assert [c.chunk_index for c in chunks] == [0, 1]
         assert (chunks[0].ids == REMI_BAR).all()
@@ -206,7 +211,7 @@ class TestChunk:
             for step, note_index in c.note_positions:
                 # the Pitch step: its id is in the Pitch block, at the note's pitch
                 assert 18 <= c.ids[step] <= 103
-                assert c.ids[step] - 18 + PITCH_MIN == score.notes[note_index].pitch
+                assert c.ids[step] - 18 + PITCH_MIN == score.notes[note_index, 2]
                 seen.append(note_index)
         assert seen == list(range(len(score.notes)))
 
@@ -218,19 +223,18 @@ class TestChunk:
         seen = []
         for c in chunks:
             for step, note_index in c.note_positions:
-                note = score.notes[note_index]
-                assert c.ids[step, 1:].tolist() == [
-                    note.sub_beat, note.pitch - PITCH_MIN + 1, note.duration_units]
+                _, sub_beat, pitch, duration, _ = score.notes[note_index].tolist()
+                assert c.ids[step, 1:].tolist() == [sub_beat, pitch - PITCH_MIN + 1, duration]
                 seen.append(note_index)
         assert seen == list(range(len(score.notes)))
 
     def test_empty_bar_steps_are_not_note_positions(self):
-        score = Score("s", (QuantNote(1, 1, 60, 4),), num_bars=3)
+        score = Score("s", [note(1, 1, 60, 4)], num_bars=3)
         (c,) = chunk(encode_cp(score), "p")
         assert c.note_positions == ((1, 0),)
 
     def test_chunks_carry_piece_identity(self):
-        score = Score("s", (), num_bars=700)
+        score = Score("s", [], num_bars=700)
         chunks = chunk(encode_remi(score), "piece-7")
         assert all(c.piece_id == "piece-7" for c in chunks)
 
@@ -245,9 +249,9 @@ def loop_remi(score: Score) -> list[int]:
     out = []
     for bar in range(score.num_bars):
         out.append(REMI_BAR)
-        for n in score.notes:
-            if n.bar_index == bar:
-                out += [1 + n.sub_beat, 18 + n.pitch - PITCH_MIN, 103 + n.duration_units]
+        for n_bar, sub_beat, pitch, duration, _ in score.notes.tolist():
+            if n_bar == bar:
+                out += [1 + sub_beat, 18 + pitch - PITCH_MIN, 103 + duration]
     return out
 
 
@@ -255,10 +259,10 @@ def loop_cp(score: Score) -> list[list[int]]:
     """encode_cp as a loop over bars and their notes."""
     out = []
     for bar in range(score.num_bars):
-        notes = [n for n in score.notes if n.bar_index == bar]
+        notes = [n for n in score.notes.tolist() if n[0] == bar]
         out += [
-            [1 if i == 0 else 2, n.sub_beat, n.pitch - PITCH_MIN + 1, n.duration_units]
-            for i, n in enumerate(notes)
+            [1 if i == 0 else 2, sub_beat, pitch - PITCH_MIN + 1, duration]
+            for i, (_, sub_beat, pitch, duration, _) in enumerate(notes)
         ] or [CP_EMPTY_BAR]
     return out
 
