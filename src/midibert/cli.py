@@ -345,7 +345,7 @@ def cmd_prepare(options: dict) -> int:
     if not pieces:
         raise ValueError("no usable pieces")
 
-    chunks = corpus.pieces_to_chunks(pieces, options["representation"])
+    store = corpus.pieces_to_chunks(pieces, options["representation"])
     manifest = corpus.make_splits([p.piece_id for p in pieces], options["ratios"], options["seed"])
 
     out_dir = Path(options["out"])
@@ -355,13 +355,13 @@ def cmd_prepare(options: dict) -> int:
             inputs[key] = Path(options[key])
     write_run_config(out_dir, options, inputs)
     corpus.save_store(
-        out_dir / "chunks.jsonl", chunks,
+        out_dir / "chunks.jsonl", store,
         representation=options["representation"], task_name=options["task"],
     )
     corpus.write_manifest(out_dir / "manifest.csv", manifest)
     corpus.write_labels(out_dir, pieces, task_spec)
     _progress(
-        f"store {out_dir}: {len(pieces)} pieces, {len(chunks)} chunks, "
+        f"store {out_dir}: {len(pieces)} pieces, {len(store.ids)} chunks, "
         f"splits {manifest.sizes}"
     )
     return EXIT_OK
@@ -374,16 +374,14 @@ def _train_config(options: dict, freeze: str | None = None) -> train.TrainConfig
 
 
 def _select_chunks(store_dir: Path, mode: str):
-    """Chunks a store contributes to the pre-training pool under the given
-    corpus mode; returns (store, kept_chunks)."""
+    """A store and the mask of its rows that join the pre-training pool
+    under the given corpus mode."""
     store = corpus.load_store(store_dir / "chunks.jsonl")
-    if mode == "pretrain-only" and store.task_name != "pretrain":
-        return store, []
+    keep = np.full(len(store.ids), mode == "all" or store.task_name == "pretrain")
     if mode == "train-splits" and store.task_name != "pretrain":
         splits = corpus.read_manifest(store_dir / "manifest.csv")
-        kept = [c for c in store.chunks if splits.get(c.piece_id) == "train"]
-        return store, kept
-    return store, list(store.chunks)
+        keep = np.array([splits.get(p) == "train" for p in store.piece_ids], dtype=bool)
+    return store, keep
 
 
 def cmd_pretrain(options: dict) -> int:
@@ -391,11 +389,11 @@ def cmd_pretrain(options: dict) -> int:
     out_dir = Path(options["out"])
     selected = []
     manifest_lines = []
-    total_pieces = total_chunks = 0
+    total_pieces = 0
     representation = None
     for raw in options["data"]:
         store_dir = Path(raw)
-        store, kept = _select_chunks(store_dir, mode)
+        store, keep = _select_chunks(store_dir, mode)
         if representation is None:
             representation = store.representation
         elif representation != store.representation:
@@ -403,13 +401,13 @@ def cmd_pretrain(options: dict) -> int:
                 f"{store_dir}: representation {store.representation!r} differs "
                 f"from {representation!r}"
             )
-        piece_count = len({c.piece_id for c in kept})
+        piece_count = len(set(store.piece_ids[keep]))
+        selected.append(store.ids[keep])
         manifest_lines.append(
-            f"{store_dir} task={store.task_name} pieces={piece_count} chunks={len(kept)}"
+            f"{store_dir} task={store.task_name} pieces={piece_count} chunks={len(selected[-1])}"
         )
         total_pieces += piece_count
-        total_chunks += len(kept)
-        selected.extend(kept)
+    total_chunks = sum(map(len, selected))
     if total_chunks < 2:
         raise ValueError(f"corpus mode {mode!r} selected {total_chunks} chunks; need >= 2")
 
@@ -421,9 +419,9 @@ def cmd_pretrain(options: dict) -> int:
         _progress(f"dry run: {total_pieces} pieces, {total_chunks} chunks selected")
         return EXIT_OK
 
-    ids = np.stack([c.ids for c in selected])
-    order = np.random.default_rng([options["seed"], len(selected)]).permutation(len(selected))
-    n_valid = max(1, round(VALID_FRACTION * len(selected)))
+    ids = np.concatenate(selected)
+    order = np.random.default_rng([options["seed"], total_chunks]).permutation(total_chunks)
+    n_valid = max(1, round(VALID_FRACTION * total_chunks))
     valid_ids = ids[order[:n_valid]]
     train_ids = ids[order[n_valid:]]
 

@@ -17,6 +17,7 @@ import re
 import warnings
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .smf import (
     DURATION_UNITS_PER_BAR, NO_VELOCITY, PITCH_MAX, PITCH_MIN, SUB_BEATS_PER_BAR, VELOCITY_NAMES,
     Score, make_score,
 )
-from .tokens import CHUNK_LEN, ChunkedSequence, chunk, encode_cp, encode_remi, vocab
+from .tokens import CHUNK_LEN, chunk, encode_cp, encode_remi, vocab
 
 IGNORE_LABEL = -1
 STORE_SCHEMA = "chunks-v1"
@@ -161,32 +162,6 @@ def make_splits(piece_ids: list[str], ratios: tuple[int, ...], seed: int) -> Spl
         valid=tuple(sorted(shuffled[train_n : train_n + valid_n])),
         test=tuple(sorted(shuffled[train_n + valid_n :])),
     )
-
-
-# --- label propagation ---------------------------------------------------------
-
-def propagate_note_labels(
-    labels: tuple[int, ...], chunks: list[ChunkedSequence]
-) -> list[np.ndarray]:
-    """Spread per-note labels onto chunk steps via note_positions.
-
-    Every note index must appear exactly once across the piece's chunks;
-    steps without a note get IGNORE_LABEL.
-    """
-    piece_id = chunks[0].piece_id if chunks else "?"
-    seen = [idx for c in chunks for _, idx in c.note_positions]
-    if sorted(seen) != list(range(len(labels))):
-        raise ValueError(
-            f"piece {piece_id!r}: {len(labels)} labels but chunk positions "
-            f"cover {len(seen)} notes"
-        )
-    out = []
-    for c in chunks:
-        row = np.full(c.ids.shape[0], IGNORE_LABEL, dtype=np.int64)
-        for step, note_index in c.note_positions:
-            row[step] = labels[note_index]
-        out.append(row)
-    return out
 
 
 # --- synthetic corpora ----------------------------------------------------------
@@ -387,55 +362,68 @@ class _CpStepText(dict):
 
 
 def save_store(
-    path: str | Path,
-    chunks: list[ChunkedSequence],
-    *,
-    representation: str,
-    task_name: str,
+    path: str | Path, store: Store, *, representation: str, task_name: str
 ) -> None:
-    """Line-delimited records behind a header line that pins the schema."""
+    """The store's rows as line-delimited records behind a header line that
+    pins the schema. Ids that load_store could not read back are a
+    ValueError naming the first such chunk, and nothing is written."""
     task(task_name)
     bounds = _id_bounds(representation)
     shape = (CHUNK_LEN, *bounds.shape)
+    ids = store.ids
+    if ids.shape[1:] == shape and ids.dtype.kind in "iu":  # from each row's lowest and highest ids
+        outside = (ids.min(axis=1) < 0) | (ids.max(axis=1) >= bounds)
+        bad = np.flatnonzero(outside.reshape(len(ids), bounds.size).any(axis=1))
+    else:
+        bad = np.arange(len(ids))
+    if bad.size:
+        raise ValueError(
+            f"piece {store.piece_ids[bad[0]]!r} chunk {store.chunk_index[bad[0]]}: ids are not "
+            f"{shape} {representation} vocabulary ids"
+        )
     if bounds.ndim:  # CP: one text per distinct step, made on first use
         step_text, pack = _CpStepText().__getitem__, _CP_PACK
     else:
         step_text, pack = [str(i) for i in range(int(bounds))].__getitem__, None
+    positions = store.note_positions[:, 1:]
+    ends = np.searchsorted(store.note_positions[:, 0], np.arange(1, len(ids) + 1)).tolist()
     header = {"schema": STORE_SCHEMA, "representation": representation, "task": task_name}
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(header) + "\n")
-        for c in chunks:
-            ids = c.ids
-            if ids.shape != shape or ids.dtype.kind not in "iu" or _outside(ids, bounds):
-                raise ValueError(
-                    f"piece {c.piece_id!r} chunk {c.chunk_index}: ids are not "
-                    f"{shape} {representation} vocabulary ids"
-                )
-            steps = (ids if pack is None else ids.astype(np.int64, copy=False) @ pack).tolist()
+        for piece_id, chunk_index, row, start, end in zip(
+            store.piece_ids, store.chunk_index.tolist(), ids, [0, *ends], ends
+        ):
+            steps = (row if pack is None else row.astype(np.int64, copy=False) @ pack).tolist()
             handle.write(_RECORD % (
-                json.dumps(c.piece_id),
-                c.chunk_index,
+                json.dumps(piece_id),
+                chunk_index,
                 ", ".join(map(step_text, steps)),
-                ", ".join(["[%d, %d]" % p for p in c.note_positions]),
+                ", ".join(["[%d, %d]" % (s, n) for s, n in positions[start:end].tolist()]),
             ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Store:
+    """A chunk store as columns: row i of ids, piece_ids and chunk_index is one chunk."""
+
     representation: str
     task_name: str
-    chunks: tuple[ChunkedSequence, ...]
+    ids: np.ndarray             # (N, 512) or (N, 512, 4) int64
+    piece_ids: np.ndarray       # (N,) str, an object array
+    chunk_index: np.ndarray     # (N,) int64: the chunk's window in its piece
+    note_positions: np.ndarray  # (M, 3) int64 (row, step, note_index), in record order
 
-    def chunks_of(self, piece_id: str) -> list[ChunkedSequence]:
-        return [c for c in self.chunks if c.piece_id == piece_id]
+    def chunks_of(self, piece_id: str) -> np.ndarray:
+        """The rows of one piece."""
+        return np.flatnonzero(self.piece_ids == piece_id)
 
 
 def load_store(path: str | Path) -> Store:
-    """Read a store in save_store's exact layout. Every chunk's ids are a
-    row of one (N, 512) or (N, 512, 4) int64 block, filled line by line,
-    so the file is never held whole. A record in any other spelling, or
-    with an id outside the vocabulary, is a ValueError naming the file and
-    line."""
+    """Read a store in save_store's exact layout. The ids fill one
+    (N, 512) or (N, 512, 4) int64 block line by line, so the file is never
+    held whole. A record in any other spelling, with an id outside the
+    vocabulary, or with a (piece_id, chunk_index) seen before, is a
+    ValueError naming the file and line."""
     with open(path, "rb", buffering=1 << 16) as handle:
         newlines, last = 0, b"\n"
         for part in iter(lambda: handle.read(1 << 16), b""):
@@ -462,25 +450,33 @@ def load_store(path: str | Path) -> Store:
         digits = np.array([len(str(i)) for i in range(bounds.max())])
         skeleton = b", ".join([step] * CHUNK_LEN)
         block = np.empty((records, CHUNK_LEN, *bounds.shape), dtype=np.int64)
-        chunks = []
+        keys: dict[tuple[str, int], None] = {}  # each row's (piece_id, chunk_index), in order
+        positions = []
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)  # a partial np.fromstring parse
             for row, line in enumerate(handle):
                 try:
-                    piece_id, chunk_index, positions = _read_record(
-                        line, block[row], skeleton, bounds, digits
-                    )
+                    key, pairs = _read_record(line, block[row], skeleton, bounds, digits)
+                    if key in keys:
+                        raise ValueError(f"piece {key[0]!r} repeats chunk_index {key[1]}")
                 except (ValueError, DeprecationWarning) as exc:
                     raise ValueError(f"{path}: line {row + 2}: {exc}") from exc
-                chunks.append(ChunkedSequence(piece_id, chunk_index, block[row], positions))
-    return Store(representation=representation, task_name=task_name, chunks=tuple(chunks))
+                keys[key] = None
+                positions.append(pairs)
+    piece_ids, chunk_index = zip(*keys) if keys else ((), ())
+    note_positions = np.column_stack((
+        np.repeat(np.arange(records), [len(p) for p in positions]),
+        np.concatenate([np.empty((0, 2), dtype=np.int64), *positions]),
+    ))
+    return Store(representation, task_name, block, np.array(piece_ids, dtype=object),
+                 np.array(chunk_index, dtype=np.int64), note_positions)
 
 
 def _read_record(
     line: bytes, out: np.ndarray, skeleton: bytes, bounds: np.ndarray, digits: np.ndarray
-) -> tuple[str, int, tuple[tuple[int, int], ...]]:
+) -> tuple[tuple[str, int], np.ndarray]:
     """Check one record line against save_store's layout, parse its ids into
-    `out` and return (piece_id, chunk_index, note_positions)."""
+    `out` and return ((piece_id, chunk_index), its (step, note_index) rows)."""
     head = _RECORD_HEAD.match(line)
     end = line.rfind(_IDS_END, head.end()) if head else -1
     tail = _RECORD_TAIL.fullmatch(line, end) if end >= 0 else None
@@ -504,19 +500,20 @@ def _read_record(
         raise ValueError("id outside the vocabulary")
     if np.count_nonzero(digit) != digits[out].sum():  # a leading zero
         raise ValueError("ids are not spelled as the store writes them")
-    numbers = np.fromstring(tail[1].translate(None, b"[]"), dtype=np.int64, sep=",").tolist()
-    steps = numbers[::2]
-    if steps and max(steps) >= CHUNK_LEN:
+    pairs = np.fromstring(tail[1].translate(None, b"[]"), dtype=np.int64, sep=",").reshape(-1, 2)
+    if pairs.size and pairs[:, 0].max() >= CHUNK_LEN:
         raise ValueError(f"note position outside the {CHUNK_LEN} steps")
-    return piece_id, int(head[2]), tuple(zip(steps, numbers[1::2]))
+    return (piece_id, int(head[2])), pairs
 
 
-def pieces_to_chunks(pieces: list[LabeledPiece], representation: str) -> list[ChunkedSequence]:
+def pieces_to_chunks(pieces: list[LabeledPiece], representation: str) -> Store:
+    """The pieces' chunks, piece after piece, as the rows of a store of
+    their task; no pieces make an empty pretrain store."""
     encode = {"remi": encode_remi, "cp": encode_cp}[representation]
-    out: list[ChunkedSequence] = []
-    for piece in pieces:
-        out.extend(chunk(encode(piece.score), piece.piece_id))
-    return out
+    ids, piece, window, note_positions = chunk([encode(p.score) for p in pieces], representation)
+    piece_ids = np.array([p.piece_id for p in pieces], dtype=object)[piece]
+    task_name = pieces[0].task.name if pieces else "pretrain"
+    return Store(representation, task_name, ids, piece_ids, window, note_positions)
 
 
 # --- CSV files --------------------------------------------------------------------
@@ -616,13 +613,13 @@ def read_manifest(path: str | Path) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class TaskData:
-    """Chunk-level arrays ready for training: ids plus aligned labels and a
-    train/valid/test split index per chunk (chunks inherit their piece's
+    """Row-aligned arrays ready for training: row i of ids is one chunk, with
+    its labels and its train/valid/test split (a chunk inherits its piece's
     split and, for sequence tasks, its label)."""
 
     task: TaskSpec
     representation: str
-    ids: np.ndarray
+    ids: np.ndarray                       # (N, 512) or (N, 512, 4)
     split_of: np.ndarray                  # (N,) int8 into SPLIT_NAMES
     note_labels: np.ndarray | None = None  # (N, 512), IGNORE_LABEL off-note
     seq_labels: np.ndarray | None = None   # (N,)
@@ -632,44 +629,60 @@ class TaskData:
 
 
 def load_task_data(store_dir: str | Path) -> TaskData:
+    """A task store's rows with their splits and labels, piece by piece in
+    first-seen order; a store `prepare` wrote is in that order already."""
     store_dir = Path(store_dir)
     store = load_store(store_dir / "chunks.jsonl")
     task_spec = task(store.task_name)
     if task_spec.level == "none":
         raise ValueError(f"{store_dir}: store is a pretrain corpus, not a task corpus")
-    if not store.chunks:
+    if not len(store.ids):
         raise ValueError(f"{store_dir}: store has no chunks")
     splits = read_manifest(store_dir / "manifest.csv")
 
-    read_labels = read_note_labels if task_spec.level == "note" else read_seq_labels
+    note_level = task_spec.level == "note"
+    read_labels = read_note_labels if note_level else read_seq_labels
     label_map = read_labels(store_dir / _LABEL_FILES[task_spec.level], task_spec)
 
-    ids_rows, split_row = [], []
-    note_rows: list[np.ndarray] = []
-    seq_rows: list[int] = []
-    by_piece: dict[str, list[ChunkedSequence]] = {}
-    for c in store.chunks:  # one pass, pieces in first-seen order
-        by_piece.setdefault(c.piece_id, []).append(c)
-    for piece_id, piece_chunks in by_piece.items():
+    names, first, piece = np.unique(store.piece_ids, return_index=True, return_inverse=True)
+    seen = np.argsort(first)  # the pieces in first-seen order
+    pieces, piece = names[seen].tolist(), np.argsort(seen)[piece]
+    labels = [label_map.get(piece_id) for piece_id in pieces]
+    rows, steps, notes = store.note_positions.T
+    owner = piece[rows]  # each note position's piece
+    counts = np.bincount(owner, minlength=len(pieces))
+    notes_by_piece = np.split(notes[np.argsort(owner, kind="stable")], np.cumsum(counts)[:-1])
+    what = "note labels" if note_level else "sequence label"
+    for piece_id, label, piece_notes in zip(pieces, labels, notes_by_piece):
         if piece_id not in splits:
             raise ValueError(f"{store_dir}: piece {piece_id!r} missing from manifest")
-        if task_spec.level == "note":
-            if piece_id not in label_map:
-                raise ValueError(f"{store_dir}: piece {piece_id!r} missing note labels")
-            note_rows.extend(propagate_note_labels(label_map[piece_id], piece_chunks))
-        else:
-            if piece_id not in label_map:
-                raise ValueError(f"{store_dir}: piece {piece_id!r} missing sequence label")
-            seq_rows.extend([label_map[piece_id]] * len(piece_chunks))
-        for c in piece_chunks:
-            ids_rows.append(c.ids)
-            split_row.append(SPLIT_NAMES.index(splits[piece_id]))
+        if label is None:
+            raise ValueError(f"{store_dir}: piece {piece_id!r} missing {what}")
+        if note_level and not np.array_equal(np.sort(piece_notes), np.arange(len(label))):
+            raise ValueError(
+                f"piece {piece_id!r}: {len(label)} labels but chunk positions cover "
+                f"{len(piece_notes)} notes"
+            )
 
-    return TaskData(
-        task=task_spec,
-        representation=store.representation,
-        ids=np.stack(ids_rows),
-        split_of=np.array(split_row, dtype=np.int8),
-        note_labels=np.stack(note_rows) if note_rows else None,
-        seq_labels=np.array(seq_rows, dtype=np.int64) if seq_rows else None,
-    )
+    order = np.argsort(piece, kind="stable")
+    note_labels = seq_labels = None
+    if note_level:
+        cells = np.sort(rows * CHUNK_LEN + steps)
+        twice = cells[1:][np.diff(cells) == 0]
+        if twice.size:
+            row, step = divmod(int(twice[0]), CHUNK_LEN)
+            raise ValueError(
+                f"{store_dir}: piece {store.piece_ids[row]!r} chunk {store.chunk_index[row]} "
+                f"lists step {step} twice"
+            )
+        note_labels = np.full(store.ids.shape[:2], IGNORE_LABEL, dtype=np.int64)
+        # the pieces' labels joined: piece k's start at counts[:k].sum(), one per position
+        note_labels[np.argsort(order)[rows], steps] = np.fromiter(
+            chain.from_iterable(labels), dtype=np.int64
+        )[(np.cumsum(counts) - counts)[owner] + notes]
+    else:
+        seq_labels = np.array(labels, dtype=np.int64)[piece[order]]
+    ids = store.ids if (np.diff(piece) >= 0).all() else store.ids[order]  # no copy in order
+    split_of = np.array([SPLIT_NAMES.index(splits[p]) for p in pieces], dtype=np.int8)
+    return TaskData(task_spec, store.representation, ids, split_of[piece[order]],
+                    note_labels=note_labels, seq_labels=seq_labels)

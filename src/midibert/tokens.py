@@ -10,8 +10,9 @@ order, Pad is always id 0, Mask is always the last id. So a token is its
 id: the encoders write id arrays, and a vocabulary is arithmetic over the
 two block tables below.
 
-Both codecs are exact inverses of encoding for well-formed streams, and
-both chunk into fixed 512-step windows that never span pieces.
+Both codecs are exact inverses of encoding for well-formed streams. `chunk`
+cuts all pieces' streams at once into one (N, 512) or (N, 512, 4) id block:
+a row is one 512-step window of one piece, Pad-filled at the piece's end.
 """
 
 from __future__ import annotations
@@ -228,45 +229,30 @@ def _decoded(source_id: str, notes: list[tuple[int, ...]], num_bars: int) -> Sco
 
 # --- chunking ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChunkedSequence:
-    """A fixed 512-step window of one piece.
+def chunk(streams: list[np.ndarray], representation: str) -> tuple[np.ndarray, ...]:
+    """Cut every piece's id stream into 512-step windows in one pass.
 
-    ids is (512,) int for REMI or (512, 4) int for CP. note_positions maps
-    each note-bearing step in this window to the note's index within the
-    piece (REMI: the Pitch step; CP: the super-token step).
-    """
-
-    piece_id: str
-    chunk_index: int
-    ids: np.ndarray
-    note_positions: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.ids.shape[0] != CHUNK_LEN:
-            raise ValueError(f"chunk must have {CHUNK_LEN} steps, got {self.ids.shape}")
-
-
-def _note_steps(ids: np.ndarray) -> np.ndarray:
-    """The steps that carry a note: REMI Pitch events, CP steps with no Pad
-    and no Mask field."""
-    if ids.ndim == 1:
+    Returns the (N, 512) or (N, 512, 4) block whose rows are each piece's
+    windows in turn, Pad-filled at its end (an empty stream gets none);
+    each row's piece (its index in `streams`) and window; and the (M, 3)
+    rows (row, step, note_index) of the note steps, where a note's index
+    is its rank among its piece's notes."""
+    step_shape = (len(CP_FIELDS),) if representation == "cp" else ()
+    windows = -(-np.array([len(s) for s in streams], dtype=np.int64) // CHUNK_LEN)
+    piece = np.repeat(np.arange(len(streams)), windows)
+    first_row = np.cumsum(windows) - windows
+    ids = np.zeros((len(piece), CHUNK_LEN, *step_shape), dtype=np.int64)
+    steps = ids.reshape(-1, *step_shape)
+    for stream, start in zip(streams, (first_row * CHUNK_LEN).tolist()):
+        steps[start : start + len(stream)] = stream
+    # the steps that carry a note, never a Pad step: CP steps with no Pad and
+    # no Mask field, REMI Pitch events
+    if step_shape:
+        at = np.flatnonzero(((steps > 0) & (steps < CpVocab().mask_ids())).all(axis=1))
+    else:
         first, _, size = _remi_block("Pitch")
-        return np.flatnonzero((ids >= first) & (ids < first + size))
-    return np.flatnonzero(((ids > 0) & (ids < CpVocab().mask_ids())).all(axis=1))
-
-
-def chunk(ids: np.ndarray, piece_id: str) -> list[ChunkedSequence]:
-    """Split an id stream into consecutive 512-step chunks, Pad-filled at
-    the end. An empty stream yields no chunks."""
-    windows = -(-len(ids) // CHUNK_LEN)
-    padded = np.zeros((windows * CHUNK_LEN, *ids.shape[1:]), dtype=np.int64)
-    padded[: len(ids)] = ids
-    note_steps = _note_steps(ids)
-    cuts = np.searchsorted(note_steps, np.arange(windows + 1) * CHUNK_LEN).tolist()
-    steps = (note_steps % CHUNK_LEN).tolist()
-    return [
-        ChunkedSequence(piece_id, w, padded[w * CHUNK_LEN : (w + 1) * CHUNK_LEN],
-                        tuple(zip(steps[cuts[w] : cuts[w + 1]], range(cuts[w], cuts[w + 1]))))
-        for w in range(windows)
-    ]
+        at = np.flatnonzero((steps >= first) & (steps < first + size))
+    rows = at // CHUNK_LEN
+    first_note = np.searchsorted(at, first_row[piece[rows]] * CHUNK_LEN)
+    note_positions = np.column_stack((rows, at % CHUNK_LEN, np.arange(len(at)) - first_note))
+    return ids, piece, np.arange(len(piece)) - first_row[piece], note_positions

@@ -8,6 +8,7 @@ import numpy as np
 from midibert import autodiff as ad
 from midibert import evaluate
 from midibert.autodiff import Tensor, _accumulate, _result, _unbroadcast
+from midibert.corpus import IGNORE_LABEL
 from midibert.smf import (
     NO_VELOCITY,
     PITCH_MAX,
@@ -16,6 +17,7 @@ from midibert.smf import (
     Score,
     make_score,
 )
+from midibert.tokens import CHUNK_LEN
 
 
 # --- autodiff ops only the tests use --------------------------------------------
@@ -71,6 +73,32 @@ def unfused_attention(q, k, v, rel, key_bias, scaling, p, seed, training):
     attention_scores -> softmax -> dropout -> matmul."""
     scores = ad.attention_scores(q, k, rel, key_bias, scaling)
     return ad.matmul(ad.dropout(ad.softmax(scores), p, seed, training), v)
+
+
+def row_positions(store) -> list[tuple[tuple[int, int], ...]]:
+    """Each row's (step, note_index) pairs of a Store, in record order."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(len(store.ids))]
+    for row, step, note_index in store.note_positions.tolist():
+        rows[row].append((step, note_index))
+    return [tuple(pairs) for pairs in rows]
+
+
+def propagate_note_labels(
+    labels: tuple[int, ...], positions: list[tuple[tuple[int, int], ...]]
+) -> list[np.ndarray]:
+    """One piece's label rows, note by note: `positions` holds each of its
+    chunks' (step, note_index) pairs. Every note index must appear exactly
+    once across the piece's chunks; steps without a note get IGNORE_LABEL."""
+    seen = [idx for pairs in positions for _, idx in pairs]
+    if sorted(seen) != list(range(len(labels))):
+        raise ValueError(f"{len(labels)} labels but chunk positions cover {len(seen)} notes")
+    out = []
+    for pairs in positions:
+        row = np.full(CHUNK_LEN, IGNORE_LABEL, dtype=np.int64)
+        for step, note_index in pairs:
+            row[step] = labels[note_index]
+        out.append(row)
+    return out
 
 
 def skyline_oracle(score) -> np.ndarray:

@@ -156,7 +156,7 @@ def _pretrain_ostinato(rep, pieces, batch_size, lr, ckpt):
     made = corpus.synth_corpus(
         corpus.SynthSpec(task="pretrain", pieces=pieces, bars_per_piece=96,
                          style="ostinato"), seed=0)
-    ids = np.stack([c.ids for c in corpus.pieces_to_chunks(made, rep)])
+    ids = corpus.pieces_to_chunks(made, rep).ids
     order = np.random.default_rng([0, len(ids)]).permutation(len(ids))
     n_valid = max(1, round(0.15 * len(ids)))
     model = M.EncoderModel(M.desk_config(rep))

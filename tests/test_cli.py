@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import re
 import struct
 import subprocess
@@ -102,7 +103,7 @@ class TestPrepare:
         assert (store / "manifest.csv").exists()
         assert (store / "note_labels.csv").exists()
         loaded = corpus.load_store(store / "chunks.jsonl")
-        assert len({c.piece_id for c in loaded.chunks}) == 5
+        assert len(set(loaded.piece_ids)) == 5
         manifest = corpus.read_manifest(store / "manifest.csv")
         assert sorted(manifest.values()).count("train") == 3
 
@@ -124,7 +125,7 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert code == 0
         assert "skipped broken.mid" in err
-        assert len({c.piece_id for c in corpus.load_store(store / "chunks.jsonl").chunks}) == 5
+        assert len(set(corpus.load_store(store / "chunks.jsonl").piece_ids)) == 5
         assert run(
             "prepare", "--midi", midi, "--task", "melody",
             "--out", tmp_path / "strict",
@@ -143,7 +144,7 @@ class TestPrepare:
                    "--note-labels", cut, "--ratios", "3,1,1")
         assert code == 0
         assert "melody_0000" in capsys.readouterr().err
-        assert len({c.piece_id for c in corpus.load_store(store / "chunks.jsonl").chunks}) == 4
+        assert len(set(corpus.load_store(store / "chunks.jsonl").piece_ids)) == 4
 
     def test_piece_without_notes_skipped_unless_strict(self, tmp_path, capsys):
         midi = tmp_path / "midi"
@@ -375,6 +376,19 @@ class TestPretrain:
         assert "chunks.jsonl: line 2: id outside the vocabulary" in err and "Traceback" not in err
         assert not (tmp_path / "never").exists()
 
+    def test_repeated_chunk_record_is_data_error(self, corpora, tmp_path, capsys):
+        store = tmp_path / "edited"
+        store.mkdir()
+        head, first, *rest = (corpora["pre_store"] / "chunks.jsonl").read_text().splitlines(True)
+        (store / "chunks.jsonl").write_text("".join([head, first, *rest, first]))
+        assert run("pretrain", "--data", store, "--out", tmp_path / "never", "--dry-run") == 2
+        piece_id = json.loads(first)["piece_id"]
+        assert capsys.readouterr().err == (
+            f"data error: {store}/chunks.jsonl: line {len(rest) + 3}: "
+            f"piece {piece_id!r} repeats chunk_index 0\n"
+        )
+        assert not (tmp_path / "never").exists()
+
     @pytest.mark.parametrize("header, shown", [
         ('{"schema": "chunks-v1", "representation": "remi"}\n', "None"),
         ('{"schema": "chunks-v1", "representation": "remi", "task": "bogus"}\n', "'bogus'"),
@@ -462,6 +476,26 @@ class TestFinetune:
                    "--out", tmp_path / "x", "--no-pretrain")
         assert code == 2
         assert "melody" in capsys.readouterr().err
+
+    def test_note_step_listed_twice_is_data_error(self, corpora, tmp_path, capsys):
+        store = tmp_path / "edited"
+        store.mkdir()
+        for name in ("manifest.csv", "note_labels.csv"):
+            (store / name).write_bytes((corpora["melody_store"] / name).read_bytes())
+        head, first, *rest = (
+            (corpora["melody_store"] / "chunks.jsonl").read_text().splitlines(True)
+        )
+        record = json.loads(first)
+        (step0, _), (step1, _) = record["note_positions"][:2]
+        ids, positions = first.split('"note_positions": ')
+        edited = ids + '"note_positions": ' + positions.replace(f"[{step1}, 1]", f"[{step0}, 1]")
+        (store / "chunks.jsonl").write_text("".join([head, edited, *rest]))
+        assert run("finetune", "--task", "melody", "--data", store, "--out", tmp_path / "never",
+                   "--no-pretrain") == 2
+        assert capsys.readouterr().err == (
+            f"data error: {store}: piece {record['piece_id']!r} chunk 0 lists step {step0} twice\n"
+        )
+        assert not (tmp_path / "never").exists()
 
     def test_freeze_backbone_from_checkpoint(self, corpora, tmp_path):
         pre = tmp_path / "pre"

@@ -21,6 +21,7 @@ from midibert.corpus import (
     IGNORE_LABEL,
     SPLIT_NAMES,
     LabeledPiece,
+    SplitManifest,
     Store,
     SynthSpec,
     derive_velocity_labels,
@@ -28,7 +29,6 @@ from midibert.corpus import (
     load_task_data,
     make_splits,
     pieces_to_chunks,
-    propagate_note_labels,
     read_manifest,
     read_note_labels,
     read_seq_labels,
@@ -40,7 +40,9 @@ from midibert.corpus import (
     write_seq_labels,
 )
 from midibert.smf import NO_VELOCITY, make_score, write_smf
-from midibert.tokens import CHUNK_LEN, ChunkedSequence, chunk, encode_cp, encode_remi, vocab
+from midibert.tokens import CHUNK_LEN, chunk, encode_cp, encode_remi, vocab
+
+from .support import propagate_note_labels, row_positions
 
 
 class TestSplits:
@@ -116,27 +118,42 @@ class TestLabeledPiece:
             derive_velocity_labels(score)
 
 
+def write_train_only_store(path, pieces, representation, labels=None):
+    """A melody store of `pieces` with their labels (or `labels`), every
+    piece in train."""
+    path.mkdir(exist_ok=True)
+    save_store(path / "chunks.jsonl", pieces_to_chunks(pieces, representation),
+               representation=representation, task_name="melody")
+    write_note_labels(path / "note_labels.csv",
+                      labels or {p.piece_id: p.note_labels for p in pieces}, task("melody"))
+    write_manifest(path / "manifest.csv", SplitManifest(tuple(p.piece_id for p in pieces), (), ()))
+
+
 class TestPropagation:
-    def test_labels_land_on_note_steps(self):
+    def test_labels_land_on_note_steps(self, tmp_path):
         (piece,) = synth_corpus(SynthSpec("melody", 1, bars_per_piece=40), seed=2)
-        for encode in (encode_remi, encode_cp):
-            chunks = chunk(encode(piece.score), piece.piece_id)
-            rows = propagate_note_labels(piece.note_labels, chunks)
+        for representation in ("remi", "cp"):
+            write_train_only_store(tmp_path / representation, [piece], representation)
+            data = load_task_data(tmp_path / representation)
+            positions = row_positions(pieces_to_chunks([piece], representation))
+            assert len(data.note_labels) == len(positions)
             total = 0
-            for c, row in zip(chunks, rows):
-                for step, note_index in c.note_positions:
+            for pairs, row in zip(positions, data.note_labels):
+                for step, note_index in pairs:
                     assert row[step] == piece.note_labels[note_index]
                     total += 1
                 off_note = np.ones(len(row), dtype=bool)
-                off_note[[s for s, _ in c.note_positions]] = False
+                off_note[[s for s, _ in pairs]] = False
                 assert (row[off_note] == IGNORE_LABEL).all()
             assert total == len(piece.score.notes)
 
-    def test_wrong_label_count_rejected(self):
+    def test_wrong_label_count_rejected(self, tmp_path):
         (piece,) = synth_corpus(SynthSpec("melody", 1), seed=2)
-        chunks = chunk(encode_cp(piece.score), piece.piece_id)
-        with pytest.raises(ValueError, match="labels but chunk positions"):
-            propagate_note_labels(piece.note_labels[:-1], chunks)
+        write_train_only_store(tmp_path, [piece], "cp", {piece.piece_id: piece.note_labels[:-1]})
+        with pytest.raises(ValueError, match=rf"^piece '{piece.piece_id}': "
+                                             rf"{len(piece.note_labels) - 1} labels but chunk "
+                                             rf"positions cover {len(piece.note_labels)} notes$"):
+            load_task_data(tmp_path)
 
 
 class TestSynthMelody:
@@ -242,8 +259,8 @@ class TestSynthPretrain:
             SynthSpec("pretrain", 6, bars_per_piece=60, notes_per_bar=17, style="pop"),
             seed=8,
         )
-        remi_chunks = sum(len(chunk(encode_remi(p.score), p.piece_id)) for p in pieces)
-        cp_chunks = sum(len(chunk(encode_cp(p.score), p.piece_id)) for p in pieces)
+        remi_chunks = len(chunk([encode_remi(p.score) for p in pieces], "remi")[0])
+        cp_chunks = len(chunk([encode_cp(p.score) for p in pieces], "cp")[0])
         bars = sum(p.score.num_bars for p in pieces)
         assert (bars / cp_chunks) / (bars / remi_chunks) >= 2.5
 
@@ -312,11 +329,10 @@ class TestStore:
         save_store(path, chunks, representation="cp", task_name="melody")
         store = load_store(path)
         assert store.representation == "cp" and store.task_name == "melody"
-        assert len(store.chunks) == len(chunks)
-        for a, b in zip(store.chunks, chunks):
-            assert a.piece_id == b.piece_id and a.chunk_index == b.chunk_index
-            assert (a.ids == b.ids).all()
-            assert a.note_positions == b.note_positions
+        assert store.ids.shape == chunks.ids.shape and (store.ids == chunks.ids).all()
+        assert store.piece_ids.tolist() == chunks.piece_ids.tolist()
+        assert store.chunk_index.tolist() == chunks.chunk_index.tolist()
+        assert store.note_positions.tolist() == chunks.note_positions.tolist()
 
     def test_schema_mismatch_rejected(self, tmp_path):
         path = tmp_path / "chunks.jsonl"
@@ -331,17 +347,39 @@ class TestStore:
             load_store(path)
 
 
-def reference_store_text(chunks, representation, task_name):
+def rows_of(store):
+    """A Store's chunks as (piece_id, chunk_index, ids, note positions) tuples."""
+    return list(zip(
+        store.piece_ids.tolist(), store.chunk_index.tolist(), store.ids, row_positions(store)
+    ))
+
+
+def store_of(rows, representation, task_name="melody"):
+    """A Store of (piece_id, chunk_index, ids, note positions) tuples."""
+    step_shape = (4,) if representation == "cp" else ()
+    return Store(
+        representation=representation,
+        task_name=task_name,
+        ids=np.stack([r[2] for r in rows]) if rows else np.zeros((0, CHUNK_LEN, *step_shape), int),
+        piece_ids=np.array([r[0] for r in rows], dtype=object),
+        chunk_index=np.array([r[1] for r in rows], dtype=np.int64),
+        note_positions=np.array(
+            [(i, *pair) for i, r in enumerate(rows) for pair in r[3]], dtype=np.int64
+        ).reshape(-1, 3),
+    )
+
+
+def reference_store_text(rows, representation, task_name):
     """The store as json.dumps spells it: the layout save_store must keep."""
     header = {"schema": "chunks-v1", "representation": representation, "task": task_name}
     records = [
         {
-            "piece_id": c.piece_id,
-            "chunk_index": c.chunk_index,
-            "ids": c.ids.tolist(),
-            "note_positions": [list(p) for p in c.note_positions],
+            "piece_id": piece_id,
+            "chunk_index": chunk_index,
+            "ids": ids.tolist(),
+            "note_positions": [list(p) for p in positions],
         }
-        for c in chunks
+        for piece_id, chunk_index, ids, positions in rows
     ]
     return "".join(json.dumps(r) + "\n" for r in [header, *records])
 
@@ -357,14 +395,20 @@ def reference_load(path):
 
 
 def random_chunk(rng, representation, piece_id="p", chunk_index=0, notes=3):
-    """A chunk of random in-vocabulary ids with `notes` note positions."""
+    """(piece_id, chunk_index, ids, note positions): random in-vocabulary
+    ids with `notes` note positions."""
     voc = vocab(representation)
     if representation == "cp":
         ids = rng.integers(0, voc.field_sizes, size=(CHUNK_LEN, 4))
     else:
         ids = rng.integers(0, len(voc), size=CHUNK_LEN)
     steps = np.sort(rng.choice(CHUNK_LEN, size=notes, replace=False)).tolist()
-    return ChunkedSequence(piece_id, chunk_index, ids, tuple((s, i) for i, s in enumerate(steps)))
+    return piece_id, chunk_index, ids, tuple((s, i) for i, s in enumerate(steps))
+
+
+def assert_rows_equal(got, want):
+    assert [r[:2] + r[3:] for r in got] == [r[:2] + r[3:] for r in want]
+    assert all(a[2].dtype == np.int64 and np.array_equal(a[2], b[2]) for a, b in zip(got, want))
 
 
 class TestStoreCodec:
@@ -375,32 +419,31 @@ class TestStoreCodec:
     def test_bytes_match_json_dumps(self, tmp_path, representation):
         rng = np.random.default_rng(1)
         pieces = synth_corpus(SynthSpec("melody", 2, bars_per_piece=70), seed=4)
-        chunks = pieces_to_chunks(pieces, representation)
-        assert max(c.chunk_index for c in chunks) > 0
-        chunks += [
+        rows = rows_of(pieces_to_chunks(pieces, representation))
+        assert max(r[1] for r in rows) > 0
+        rows += [
             random_chunk(rng, representation, 'q"uote', 0, notes=0),
             random_chunk(rng, representation, "back\\slash", 3),
             random_chunk(rng, representation, "Dvořák – Humoreske ♪", 12),
             random_chunk(rng, representation, "tab\tnew\nline\u0001", 1),
         ]
         path = tmp_path / "chunks.jsonl"
-        save_store(path, chunks, representation=representation, task_name="melody")
-        assert path.read_bytes() == reference_store_text(chunks, representation, "melody").encode()
-        store = load_store(path)
-        assert [(c.piece_id, c.chunk_index, c.note_positions) for c in store.chunks] == [
-            (c.piece_id, c.chunk_index, c.note_positions) for c in chunks
-        ]
-        assert all(np.array_equal(a.ids, b.ids) for a, b in zip(store.chunks, chunks))
+        save_store(path, store_of(rows, representation), representation=representation,
+                   task_name="melody")
+        assert path.read_bytes() == reference_store_text(rows, representation, "melody").encode()
+        assert_rows_equal(rows_of(load_store(path)), rows)
 
     @pytest.mark.parametrize("representation", ["remi", "cp"])
     def test_empty_store(self, tmp_path, representation):
         path = tmp_path / "chunks.jsonl"
-        save_store(path, [], representation=representation, task_name="pretrain")
+        save_store(path, store_of([], representation), representation=representation,
+                   task_name="pretrain")
         assert path.read_bytes() == reference_store_text([], representation, "pretrain").encode()
         store = load_store(path)
-        assert (store.representation, store.task_name, store.chunks) == (
-            representation, "pretrain", ()
-        )
+        assert (store.representation, store.task_name) == (representation, "pretrain")
+        assert store.ids.shape == store_of([], representation).ids.shape
+        assert store.piece_ids.shape == store.chunk_index.shape == (0,)
+        assert store.note_positions.shape == (0, 3)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -415,38 +458,35 @@ class TestStoreCodec:
                 ),
             ),
             max_size=4,
+            unique_by=lambda r: (r[0], r[1]),  # a store lists each chunk once
         ),
     )
     def test_round_trip_matches_json_loads(self, tmp_path_factory, representation, records):
-        chunks = [
-            ChunkedSequence(
-                piece_id, chunk_index,
-                random_chunk(np.random.default_rng(seed), representation).ids,
-                tuple(positions),
-            )
+        rows = [
+            (piece_id, chunk_index,
+             random_chunk(np.random.default_rng(seed), representation)[2], tuple(positions))
             for piece_id, chunk_index, seed, positions in records
         ]
         path = tmp_path_factory.mktemp("store") / "chunks.jsonl"
-        save_store(path, chunks, representation=representation, task_name="emotion")
-        expected_text = reference_store_text(chunks, representation, "emotion")
+        save_store(path, store_of(rows, representation), representation=representation,
+                   task_name="emotion")
+        expected_text = reference_store_text(rows, representation, "emotion")
         assert path.read_text(encoding="utf-8") == expected_text
         store = load_store(path)
         rep, task_name, expected = reference_load(path)
         assert (store.representation, store.task_name) == (rep, task_name)
-        assert len(store.chunks) == len(expected)
-        for c, (piece_id, chunk_index, ids, positions) in zip(store.chunks, expected):
-            assert (c.piece_id, c.chunk_index) == (piece_id, chunk_index)
-            assert c.note_positions == positions
-            assert c.ids.dtype == np.int64 and np.array_equal(c.ids, ids)
+        assert len(store.ids) == len(expected)
+        assert_rows_equal(rows_of(store), expected)
 
     @staticmethod
     def edited_store(tmp_path, representation, old, new):
         """A two-chunk store whose second record (line 3) has `old` replaced by `new`."""
         ids = np.zeros((CHUNK_LEN, 4) if representation == "cp" else CHUNK_LEN, dtype=np.int64)
         ids[0], ids[1] = 1, 2 if representation == "cp" else 5
-        chunks = [ChunkedSequence("p", i, ids, ((0, 0), (1, 1))) for i in range(2)]
+        rows = [("p", i, ids, ((0, 0), (1, 1))) for i in range(2)]
         path = tmp_path / "chunks.jsonl"
-        save_store(path, chunks, representation=representation, task_name="melody")
+        save_store(path, store_of(rows, representation), representation=representation,
+                   task_name="melody")
         head, first, second = path.read_text().splitlines(keepends=True)
         assert old in second
         path.write_text(head + first + second.replace(old, new, 1))
@@ -492,6 +532,12 @@ class TestStoreCodec:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: "):
             load_store(path)
 
+    def test_rejects_a_repeated_chunk(self, tmp_path):
+        path = self.edited_store(tmp_path, "remi", '"chunk_index": 1', '"chunk_index": 0')
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: "
+                                             r"piece 'p' repeats chunk_index 0$"):
+            load_store(path)
+
     def test_rejects_bad_headers(self, tmp_path):
         path = tmp_path / "chunks.jsonl"
         path.write_text("[1]\n")
@@ -504,19 +550,22 @@ class TestStoreCodec:
     @pytest.mark.parametrize("representation, other", [("remi", "cp"), ("cp", "remi")])
     def test_writer_rejects_ids_it_could_not_read_back(self, tmp_path, representation, other):
         rng = np.random.default_rng(2)
-        good = random_chunk(rng, representation)
+        good = random_chunk(rng, representation, "g", 3)
         path = tmp_path / "chunks.jsonl"
-        for ids in (good.ids - 1, good.ids + 200, good.ids.astype(np.float64),
-                    random_chunk(rng, other).ids):
-            bad = ChunkedSequence("p", 0, ids, ())
-            with pytest.raises(ValueError, match="'p' chunk 0"):
-                save_store(path, [good, bad], representation=representation, task_name="melody")
+        ids = good[2]
+        for rows in ([good, ("p", 0, ids - 1, ())], [good, ("p", 0, ids + 200, ())],
+                     [("p", 0, ids.astype(np.float64), ())],
+                     [("p", 0, random_chunk(rng, other)[2], ())]):
+            with pytest.raises(ValueError, match="^piece 'p' chunk 0: "):
+                save_store(path, store_of(rows, representation), representation=representation,
+                           task_name="melody")
+            assert not path.exists()  # checked before anything is written
 
     def test_loading_keeps_only_the_ids_block(self, tmp_path):
         rng = np.random.default_rng(3)
-        chunks = [random_chunk(rng, "cp", f"piece_{i:03d}", 0, notes=1) for i in range(64)]
+        rows = [random_chunk(rng, "cp", f"piece_{i:03d}", 0, notes=1) for i in range(64)]
         path = tmp_path / "chunks.jsonl"
-        save_store(path, chunks, representation="cp", task_name="emotion")
+        save_store(path, store_of(rows, "cp"), representation="cp", task_name="emotion")
         block = 64 * CHUNK_LEN * 4 * 8
         assert path.stat().st_size > 64 * 7000  # the file never sits in memory whole
         tracemalloc.start()
@@ -526,8 +575,7 @@ class TestStoreCodec:
         finally:
             tracemalloc.stop()
         assert peak < block + 256 * 1024, peak
-        base = store.chunks[0].ids.base
-        assert base is not None and all(c.ids.base is base for c in store.chunks)
+        assert store.ids.shape == (64, CHUNK_LEN, 4) and store.ids.flags.owndata
 
 
 class TestCsvFiles:
@@ -623,7 +671,7 @@ class TestTaskData:
     def test_assembles(self, tmp_path):
         corpus, _ = self.write_melody_dir(tmp_path)
         data = load_task_data(tmp_path)
-        piece_ids = [c.piece_id for c in load_store(tmp_path / "chunks.jsonl").chunks]
+        piece_ids = load_store(tmp_path / "chunks.jsonl").piece_ids.tolist()
         splits = read_manifest(tmp_path / "manifest.csv")
         assert data.task.name == "melody"
         assert data.ids.shape[0] == len(piece_ids) == data.note_labels.shape[0]
@@ -633,32 +681,95 @@ class TestTaskData:
         labeled = data.note_labels != IGNORE_LABEL
         assert labeled.sum() == sum(len(p.score.notes) for p in corpus)
 
+    @staticmethod
+    def expected_task_data(store_dir, corpus):
+        """(ids, note labels, split per row) in load_task_data's order, from
+        the store's rows grouped piece by piece and the note-by-note oracle."""
+        by_piece = {}
+        for row in rows_of(load_store(store_dir / "chunks.jsonl")):
+            by_piece.setdefault(row[0], []).append(row)
+        labels = {p.piece_id: p.note_labels for p in corpus}
+        splits = read_manifest(store_dir / "manifest.csv")
+        rows = [row for piece_rows in by_piece.values() for row in piece_rows]
+        note_labels = [
+            labeled
+            for piece_id, piece_rows in by_piece.items()
+            for labeled in propagate_note_labels(labels[piece_id], [r[3] for r in piece_rows])
+        ]
+        return (np.stack([r[2] for r in rows]), np.stack(note_labels),
+                [SPLIT_NAMES.index(splits[r[0]]) for r in rows])
+
     def test_groups_chunks_without_per_piece_scans(self, tmp_path, monkeypatch):
         corpus, _ = self.write_melody_dir(tmp_path)
-        chunks = load_store(tmp_path / "chunks.jsonl").chunks
 
         def scan(self, piece_id):
             raise AssertionError("load_task_data scanned the store for one piece")
 
         monkeypatch.setattr(Store, "chunks_of", scan)
         data = load_task_data(tmp_path)
-        assert np.array_equal(data.ids, np.stack([c.ids for c in chunks]))
-        expected_labels = [
-            row
-            for p in corpus
-            for row in propagate_note_labels(
-                p.note_labels, [c for c in chunks if c.piece_id == p.piece_id]
-            )
-        ]
-        assert np.array_equal(data.note_labels, np.stack(expected_labels))
-        splits = read_manifest(tmp_path / "manifest.csv")
-        expected_splits = [SPLIT_NAMES.index(splits[c.piece_id]) for c in chunks]
-        assert data.split_of.tolist() == expected_splits
+        ids, note_labels, splits = self.expected_task_data(tmp_path, corpus)
+        assert np.array_equal(data.ids, ids)
+        assert np.array_equal(data.note_labels, note_labels)
+        assert data.split_of.tolist() == splits
+
+    @pytest.mark.parametrize("shuffle", ["rotated", "interleaved"])
+    def test_store_out_of_piece_order_is_grouped(self, tmp_path, shuffle):
+        corpus = synth_corpus(SynthSpec("melody", 4, bars_per_piece=40), seed=5)
+        rows = rows_of(pieces_to_chunks(corpus, "remi"))
+        assert len(rows) > len(corpus)  # some piece has more than one chunk
+        rows = rows[-1:] + rows[:-1] if shuffle == "rotated" else rows[::2] + rows[1::2]
+        save_store(tmp_path / "chunks.jsonl", store_of(rows, "remi"), representation="remi",
+                   task_name="melody")
+        write_note_labels(tmp_path / "note_labels.csv",
+                          {p.piece_id: p.note_labels for p in corpus}, task("melody"))
+        write_manifest(tmp_path / "manifest.csv",
+                       make_splits([p.piece_id for p in corpus], (2, 1, 1), seed=5))
+        data = load_task_data(tmp_path)
+        ids, note_labels, splits = self.expected_task_data(tmp_path, corpus)
+        assert not np.array_equal(ids, load_store(tmp_path / "chunks.jsonl").ids)
+        assert np.array_equal(data.ids, ids)
+        assert np.array_equal(data.note_labels, note_labels)
+        assert data.split_of.tolist() == splits
+
+    def test_step_listed_twice_rejected(self, tmp_path):
+        self.write_melody_dir(tmp_path)
+        path = tmp_path / "chunks.jsonl"
+        head, first, *rest = path.read_text().splitlines(keepends=True)
+        record = json.loads(first)
+        (step0, _), (step1, _) = record["note_positions"][:2]
+        ids, positions = first.split('"note_positions": ')
+        edited = ids + '"note_positions": ' + positions.replace(f"[{step1}, 1]", f"[{step0}, 1]", 1)
+        path.write_text("".join([head, edited, *rest]))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path))}: piece "
+                                             rf"'{record['piece_id']}' chunk 0 lists step "
+                                             rf"{step0} twice$"):
+            load_task_data(tmp_path)
+
+    def test_loading_keeps_only_the_ids_block(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = [random_chunk(rng, "cp", f"piece_{i:03d}", 0, notes=1) for i in range(64)]
+        save_store(tmp_path / "chunks.jsonl", store_of(rows, "cp"), representation="cp",
+                   task_name="emotion")
+        piece_ids = [r[0] for r in rows]
+        write_seq_labels(tmp_path / "seq_labels.csv",
+                         {p: i % 4 for i, p in enumerate(piece_ids)}, task("emotion"))
+        write_manifest(tmp_path / "manifest.csv", make_splits(piece_ids, (8, 1, 1), seed=0))
+        block = 64 * CHUNK_LEN * 4 * 8
+        tracemalloc.start()
+        try:
+            data = load_task_data(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block + 256 * 1024, peak
+        assert data.ids.shape == (64, CHUNK_LEN, 4)
+        assert data.seq_labels.tolist() == [i % 4 for i in range(64)]
 
     def test_store_without_chunks_rejected(self, tmp_path):
         store = tmp_path / "silent"
         store.mkdir()
-        save_store(store / "chunks.jsonl", [], representation="remi", task_name="emotion")
+        save_store(store / "chunks.jsonl", store_of([], "remi"), representation="remi",
+                   task_name="emotion")
         write_seq_labels(store / "seq_labels.csv", {}, task("emotion"))
         write_manifest(store / "manifest.csv", make_splits(["a", "b", "c"], (1, 1, 1), seed=0))
         with pytest.raises(ValueError, match=re.escape(f"{store}: store has no chunks")):

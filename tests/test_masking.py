@@ -20,22 +20,22 @@ from .support import random_grid_score
 
 
 def remi_batch(rng: np.random.Generator, pieces: int = 12) -> np.ndarray:
-    chunks = []
-    for i in range(pieces):
-        score = random_grid_score(rng, max_bars=30, max_notes_per_bar=12,
-                                  with_velocity=False, source_id=f"p{i}")
-        chunks += chunk(encode_remi(score), f"p{i}")
-    return np.stack([c.ids for c in chunks])
+    streams = [
+        encode_remi(random_grid_score(rng, max_bars=30, max_notes_per_bar=12,
+                                      with_velocity=False, source_id=f"p{i}"))
+        for i in range(pieces)
+    ]
+    return chunk(streams, "remi")[0]
 
 
 def cp_batch(rng: np.random.Generator, pieces: int = 12) -> np.ndarray:
-    chunks = []
-    for i in range(pieces):
-        score = random_grid_score(rng, max_bars=30, max_notes_per_bar=12,
-                                  with_velocity=False, allow_empty_bars=True,
-                                  source_id=f"p{i}")
-        chunks += chunk(encode_cp(score), f"p{i}")
-    return np.stack([c.ids for c in chunks])
+    streams = [
+        encode_cp(random_grid_score(rng, max_bars=30, max_notes_per_bar=12,
+                                    with_velocity=False, allow_empty_bars=True,
+                                    source_id=f"p{i}"))
+        for i in range(pieces)
+    ]
+    return chunk(streams, "cp")[0]
 
 
 REMI = vocab("remi")

@@ -186,62 +186,62 @@ class TestDecode:
 
 class TestChunk:
     def test_empty_stream_yields_no_chunks(self):
-        assert chunk(np.zeros(0, dtype=np.int64), "p") == []
-        assert chunk(np.zeros((0, 4), dtype=np.int64), "p") == []
+        for stream, representation in ((np.zeros(0, dtype=np.int64), "remi"),
+                                       (np.zeros((0, 4), dtype=np.int64), "cp")):
+            for streams in ([], [stream]):
+                ids, piece, window, positions = chunk(streams, representation)
+                assert ids.shape == (0, CHUNK_LEN, *stream.shape[1:])
+                assert piece.shape == window.shape == (0,) and positions.shape == (0, 3)
 
     def test_pad_fill_and_window_count(self):
         score = Score("s", [], num_bars=600)  # 600 Bar tokens
-        chunks = chunk(encode_remi(score), "p")
-        assert [c.chunk_index for c in chunks] == [0, 1]
-        assert (chunks[0].ids == REMI_BAR).all()
-        assert (chunks[1].ids[: 600 - CHUNK_LEN] == REMI_BAR).all()
-        assert (chunks[1].ids[600 - CHUNK_LEN :] == REMI_PAD).all()
+        ids, _, window, _ = chunk([encode_remi(score)], "remi")
+        assert window.tolist() == [0, 1]
+        assert (ids[0] == REMI_BAR).all()
+        assert (ids[1, : 600 - CHUNK_LEN] == REMI_BAR).all()
+        assert (ids[1, 600 - CHUNK_LEN :] == REMI_PAD).all()
 
     def test_exact_multiple_has_no_pad_chunk(self):
         ids = np.full(CHUNK_LEN, REMI_BAR, dtype=np.int64)
-        assert len(chunk(ids, "p")) == 1
+        assert len(chunk([ids], "remi")[0]) == 1
 
     def test_note_positions_remi(self):
         rng = np.random.default_rng(23)
         score = random_grid_score(rng, max_bars=40, max_notes_per_bar=16,
                                   with_velocity=False)
-        chunks = chunk(encode_remi(score), "p")
+        ids, _, _, positions = chunk([encode_remi(score)], "remi")
         seen = []
-        for c in chunks:
-            for step, note_index in c.note_positions:
-                # the Pitch step: its id is in the Pitch block, at the note's pitch
-                assert 18 <= c.ids[step] <= 103
-                assert c.ids[step] - 18 + PITCH_MIN == score.notes[note_index, 2]
-                seen.append(note_index)
+        for row, step, note_index in positions.tolist():
+            # the Pitch step: its id is in the Pitch block, at the note's pitch
+            assert 18 <= ids[row, step] <= 103
+            assert ids[row, step] - 18 + PITCH_MIN == score.notes[note_index, 2]
+            seen.append(note_index)
         assert seen == list(range(len(score.notes)))
 
     def test_note_positions_cp(self):
         rng = np.random.default_rng(29)
         score = random_grid_score(rng, max_bars=40, max_notes_per_bar=16,
                                   with_velocity=False)
-        chunks = chunk(encode_cp(score), "p")
+        ids, _, _, positions = chunk([encode_cp(score)], "cp")
         seen = []
-        for c in chunks:
-            for step, note_index in c.note_positions:
-                _, sub_beat, pitch, duration, _ = score.notes[note_index].tolist()
-                assert c.ids[step, 1:].tolist() == [sub_beat, pitch - PITCH_MIN + 1, duration]
-                seen.append(note_index)
+        for row, step, note_index in positions.tolist():
+            _, sub_beat, pitch, duration, _ = score.notes[note_index].tolist()
+            assert ids[row, step, 1:].tolist() == [sub_beat, pitch - PITCH_MIN + 1, duration]
+            seen.append(note_index)
         assert seen == list(range(len(score.notes)))
 
     def test_empty_bar_steps_are_not_note_positions(self):
         score = Score("s", [note(1, 1, 60, 4)], num_bars=3)
-        (c,) = chunk(encode_cp(score), "p")
-        assert c.note_positions == ((1, 0),)
+        assert chunk([encode_cp(score)], "cp")[3].tolist() == [[0, 1, 0]]
 
     def test_chunks_carry_piece_identity(self):
-        score = Score("s", [], num_bars=700)
-        chunks = chunk(encode_remi(score), "piece-7")
-        assert all(c.piece_id == "piece-7" for c in chunks)
+        streams = [encode_remi(Score("s", [], num_bars=700)), encode_remi(Score("t", [], 9))]
+        _, piece, window, _ = chunk(streams, "remi")
+        assert piece.tolist() == [0, 0, 1] and window.tolist() == [0, 1, 0]
 
     def test_cp_ids_shape(self):
         score = two_bar_six_note_score()
-        (c,) = chunk(encode_cp(score), "p")
-        assert c.ids.shape == (CHUNK_LEN, 4)
+        assert chunk([encode_cp(score)], "cp")[0].shape == (1, CHUNK_LEN, 4)
 
 
 def loop_remi(score: Score) -> list[int]:
@@ -281,14 +281,52 @@ def loop_note_positions(ids: np.ndarray) -> list[list[tuple[int, int]]]:
 class TestAgainstLoops:
     """The array encoders and chunk against step-by-step loops."""
 
+    @staticmethod
+    def check_one_pass(streams, representation):
+        """chunk over all `streams` at once: each piece's rows, in turn, hold
+        its stream, then Pad, and its note positions are the loop's."""
+        ids, piece, window, positions = chunk(streams, representation)
+        assert ids.dtype == np.int64 and len(ids) == len(piece) == len(window)
+        for p, stream in enumerate(streams):
+            rows = np.flatnonzero(piece == p)
+            assert len(rows) == -(-len(stream) // CHUNK_LEN)
+            assert window[rows].tolist() == list(range(len(rows)))
+            if len(rows):
+                assert rows.tolist() == list(range(rows[0], rows[0] + len(rows)))
+            padded = ids[rows].reshape(-1, *stream.shape[1:])
+            assert (padded[: len(stream)] == stream).all() and not padded[len(stream) :].any()
+            mine = positions[np.isin(positions[:, 0], rows)]
+            assert [
+                [(s, n) for r, s, n in mine.tolist() if r == row] for row in rows
+            ] == loop_note_positions(stream)
+        assert (np.diff(piece) >= 0).all()
+
     def test_encoders_and_note_positions(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             score = random_grid_score(rng, max_bars=60, max_notes_per_bar=10,
                                       with_velocity=False, allow_trailing_empty_bars=True)
-            for ids, loop in ((encode_remi(score), loop_remi), (encode_cp(score), loop_cp)):
+            for ids, loop, representation in ((encode_remi(score), loop_remi, "remi"),
+                                              (encode_cp(score), loop_cp, "cp")):
                 assert ids.dtype == np.int64 and ids.tolist() == loop(score)
-                chunks = chunk(ids, "p")
-                assert [list(c.note_positions) for c in chunks] == loop_note_positions(ids)
-                padded = np.concatenate([c.ids for c in chunks]) if chunks else ids
-                assert (padded[: len(ids)] == ids).all() and not padded[len(ids) :].any()
+                self.check_one_pass([ids], representation)
+
+    def test_one_pass_over_many_pieces(self):
+        rng = np.random.default_rng(37)
+        scores = [
+            random_grid_score(rng, max_bars=bars, max_notes_per_bar=10, with_velocity=False,
+                              allow_trailing_empty_bars=True)
+            for bars in [2, 400, 5, 60, 1, 120, 30] * 4
+        ]
+        # REMI Pitch steps / CP note steps at both ends of a full window
+        remi_exact = np.full(CHUNK_LEN, REMI_BAR, dtype=np.int64)
+        remi_exact[[0, CHUNK_LEN - 1]] = 18 + 60 - PITCH_MIN
+        cp_exact = np.tile(np.array(CP_EMPTY_BAR, dtype=np.int64), (CHUNK_LEN, 1))
+        cp_exact[[0, CHUNK_LEN - 1]] = [2, 1, 39, 4]
+        for encode, exact, representation in ((encode_remi, remi_exact, "remi"),
+                                              (encode_cp, cp_exact, "cp")):
+            streams = [encode(s) for s in scores]
+            empty = exact[:0]
+            streams = [empty, *streams[:10], exact, empty, *streams[10:], exact, empty]
+            assert any(len(s) > 2 * CHUNK_LEN for s in streams)
+            self.check_one_pass(streams, representation)
