@@ -207,17 +207,37 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))  # builtin float: numpy 2 scalars upcast f
 
 
 def gelu(a: Tensor) -> Tensor:
-    # tanh form: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))
+    # tanh form: 0.5 x (1 + tanh(c (x + 0.044715 x^3))); the inner term and
+    # its tanh share one buffer, in the rounding order of that expression
+    # (x**3 goes through pow(), far slower)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))  # x**3 goes through pow(), far slower
-    t = np.tanh(inner)
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = x * 0.5
+    out *= t + 1.0
 
     def rule(g):
-        sech2 = 1.0 - t * t
-        local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-        _accumulate(a, g * local, owned=True)
+        # 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2), in that order
+        local = x * 0.5
+        part = t * t
+        np.subtract(1.0, part, out=part)
+        local *= part
+        local *= _GELU_C
+        np.multiply(x, 3 * 0.044715, out=part)
+        part *= x
+        part += 1.0
+        local *= part
+        np.add(t, 1.0, out=part)
+        part *= 0.5
+        local += part
+        local *= g
+        _accumulate(a, local, owned=True)
 
-    return _result(0.5 * x * (1.0 + t), (a,), rule)
+    return _result(out, (a,), rule)
 
 
 def softmax(a: Tensor) -> Tensor:

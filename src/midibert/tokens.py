@@ -238,21 +238,33 @@ def chunk(streams: list[np.ndarray], representation: str) -> tuple[np.ndarray, .
     rows (row, step, note_index) of the note steps, where a note's index
     is its rank among its piece's notes."""
     step_shape = (len(CP_FIELDS),) if representation == "cp" else ()
-    windows = -(-np.array([len(s) for s in streams], dtype=np.int64) // CHUNK_LEN)
+    lengths = np.array([len(s) for s in streams], dtype=np.int64)
+    windows = -(-lengths // CHUNK_LEN)
     piece = np.repeat(np.arange(len(streams)), windows)
     first_row = np.cumsum(windows) - windows
+    # note steps are found on the streams laid end to end, not on the block,
+    # whose Pad fill can be most of it; a stream position maps into the block
+    # through its piece's first row
+    starts = np.cumsum(lengths) - lengths
+    at = _note_steps(streams, step_shape)
+    note_piece = np.searchsorted(starts, at, side="right") - 1
+    at += (first_row * CHUNK_LEN - starts)[note_piece]
+    first_note = np.searchsorted(at, first_row[note_piece] * CHUNK_LEN)
+    note_positions = np.column_stack(
+        (at // CHUNK_LEN, at % CHUNK_LEN, np.arange(len(at)) - first_note)
+    )
     ids = np.zeros((len(piece), CHUNK_LEN, *step_shape), dtype=np.int64)
     steps = ids.reshape(-1, *step_shape)
     for stream, start in zip(streams, (first_row * CHUNK_LEN).tolist()):
         steps[start : start + len(stream)] = stream
-    # the steps that carry a note, never a Pad step: CP steps with no Pad and
-    # no Mask field, REMI Pitch events
-    if step_shape:
-        at = np.flatnonzero(((steps > 0) & (steps < CpVocab().mask_ids())).all(axis=1))
-    else:
-        first, _, size = _remi_block("Pitch")
-        at = np.flatnonzero((steps >= first) & (steps < first + size))
-    rows = at // CHUNK_LEN
-    first_note = np.searchsorted(at, first_row[piece[rows]] * CHUNK_LEN)
-    note_positions = np.column_stack((rows, at % CHUNK_LEN, np.arange(len(at)) - first_note))
     return ids, piece, np.arange(len(piece)) - first_row[piece], note_positions
+
+
+def _note_steps(streams: list[np.ndarray], step_shape: tuple[int, ...]) -> np.ndarray:
+    """Positions of the steps that carry a note in the streams laid end to
+    end: CP steps with no Pad and no Mask field, REMI Pitch events."""
+    steps = np.concatenate([np.zeros((0, *step_shape), dtype=np.int64), *streams])
+    if step_shape:
+        return np.flatnonzero(((steps > 0) & (steps < CpVocab().mask_ids())).all(axis=1))
+    first, _, size = _remi_block("Pitch")
+    return np.flatnonzero((steps >= first) & (steps < first + size))

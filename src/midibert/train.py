@@ -169,7 +169,16 @@ def _batches(order: np.ndarray, size: int):
         yield order[start : start + size]
 
 
-def _sub_batch(batch: masking.MaskedBatch, idx: slice) -> masking.MaskedBatch:
+def _real_length(model: M.EncoderModel, ids: np.ndarray) -> int:
+    """1 + the last real step over the rows of `ids`, at least 1. Every later
+    step is padding in every row; pad keys get zero attention weight and no
+    loss, pooling or prediction reads a pad step, so running the encoder on
+    `ids[:, :L]` changes rounding, not the model."""
+    real = np.flatnonzero(model.step_mask(ids).any(axis=0))
+    return int(real[-1]) + 1 if real.size else 1
+
+
+def _sub_batch(batch: masking.MaskedBatch, idx) -> masking.MaskedBatch:
     return masking.MaskedBatch(
         input_ids=batch.input_ids[idx],
         target_ids=batch.target_ids[idx],
@@ -184,7 +193,10 @@ def evaluate_mlm(
     """(loss, cloze accuracy) over a fixed corruption of `ids`, both averaged
     per selected step; scored on a detached view, so no graph is built."""
     model = model.detached()
+    # corrupted at full width, so the same steps are selected, then cut once
+    # for the whole set: a step's scores do not depend on its batch-mates' lengths
     whole = masking.corrupt(ids, model.vocab, seed=mask_seed)
+    whole = _sub_batch(whole, np.s_[:, : _real_length(model, ids)])
     total_loss = 0.0
     total_correct = 0.0
     total_selected = 0
@@ -275,9 +287,11 @@ def pretrain(
     valid_mask_seed = M.derive_seed(config.seed, 1_000_003)  # fixed across epochs
 
     def batch_loss(rows, epoch, bi):
-        mb = masking.corrupt(train_ids[rows], model.vocab, seed=M.derive_seed(config.seed, epoch, bi))
+        ids = train_ids[rows]
+        mb = masking.corrupt(ids, model.vocab, seed=M.derive_seed(config.seed, epoch, bi))
         if not mb.loss_mask.any():
             return None
+        mb = _sub_batch(mb, np.s_[:, : _real_length(model, ids)])
         return M.mlm_loss(model, mb, training=True, seed=M.derive_seed(config.seed, epoch, bi, 1))[0]
 
     def validate():
@@ -312,7 +326,7 @@ def _class_loss(model, ids, labels, level, *, training, seed):
     logits = model.logits(ids, training=training, seed=seed)
     if level == "note":
         n, t, c = logits.data.shape
-        flat_labels = labels.reshape(-1)
+        flat_labels = labels[:, :t].reshape(-1)  # the steps `ids` was cut to
         weights = (flat_labels != corpus.IGNORE_LABEL).astype(np.float64)
         loss = ad.cross_entropy(ad.reshape(logits, (n * t, c)), flat_labels, weights)
     else:
@@ -330,17 +344,21 @@ def evaluate_classifier(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """(loss, predictions, labels) over the given chunk indices: the
     label-weighted mean loss, argmax predictions and the aligned labels;
-    scored on a detached view, so no graph is built."""
+    scored on a detached view, so no graph is built. The set is cut once to
+    its longest real prefix, so a chunk's predictions do not depend on the
+    batch size; note predictions past the cut are IGNORE_LABEL, as are the
+    labels there."""
     model = model.detached()
     level = data.task.level
     labels = task_labels(data)
+    width = _real_length(model, data.ids[indices])
     total_loss = 0.0
     labeled = 0
     preds = []
     for batch_idx in _batches(indices, batch_size):
         truth = labels[batch_idx]
         loss, logits = _class_loss(
-            model, data.ids[batch_idx], truth, level, training=False, seed=0
+            model, data.ids[batch_idx, :width], truth, level, training=False, seed=0
         )
         n = int((truth != corpus.IGNORE_LABEL).sum())
         total_loss += float(loss.data) * n
@@ -348,7 +366,11 @@ def evaluate_classifier(
         preds.append(np.argmax(logits.data, axis=-1))
     if labeled == 0:
         raise ValueError("no labeled positions to evaluate")
-    return total_loss / labeled, np.concatenate(preds), labels[indices]
+    preds = np.concatenate(preds)
+    if level == "note":
+        cut = [(0, 0), (0, labels.shape[1] - width)]
+        preds = np.pad(preds, cut, constant_values=corpus.IGNORE_LABEL)
+    return total_loss / labeled, preds, labels[indices]
 
 
 def finetune(
@@ -370,8 +392,9 @@ def finetune(
     labels = task_labels(data)
 
     def batch_loss(rows, epoch, bi):
+        ids = data.ids[rows]
         return _class_loss(
-            model, data.ids[rows], labels[rows], level,
+            model, ids[:, : _real_length(model, ids)], labels[rows], level,
             training=True, seed=M.derive_seed(config.seed, epoch, bi),
         )[0]
 

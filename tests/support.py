@@ -52,6 +52,20 @@ def tanh(a: Tensor) -> Tensor:
     return _result(t, (a,), rule)
 
 
+def gelu_formula(a: Tensor) -> Tensor:
+    """autodiff.gelu as one expression per pass: the rounding order its
+    in-place buffers must keep."""
+    x = a.data
+    t = np.tanh(ad._GELU_C * (x + 0.044715 * (x * x * x)))
+
+    def rule(g):
+        sech2 = 1.0 - t * t
+        local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * ad._GELU_C * (1.0 + 3 * 0.044715 * x * x)
+        _accumulate(a, g * local, owned=True)
+
+    return _result(0.5 * x * (1.0 + t), (a,), rule)
+
+
 def strip_velocity(score: Score) -> Score:
     notes = score.notes.copy()
     notes[:, 4] = NO_VELOCITY

@@ -12,7 +12,7 @@ import pytest
 from midibert import autodiff as ad
 from midibert.autodiff import Tensor, backward, gradcheck
 
-from .support import mean, mul, tanh, unfused_attention
+from .support import gelu_formula, mean, mul, tanh, unfused_attention
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -82,6 +82,23 @@ class TestNonlinearities:
         rng = np.random.default_rng(16)
         x = tensor(rng.uniform(0.2, 2.0, (5, 6)), requires_grad=True)
         assert gradcheck(lambda: loss_of(ad.gelu(x)), [x]) <= 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_rounds_like_the_formula(self, dtype):
+        # the in-place buffers keep the expression's rounding order exactly
+        rng = np.random.default_rng(18)
+        data = (rng.standard_normal((4, 64, 96)) * 3).astype(dtype)
+        data.flat[:6] = [0.0, -0.0, 1e-40, -1e-30, 40.0, -40.0]
+        g = rng.standard_normal(data.shape).astype(dtype)
+        results = []
+        for op in (ad.gelu, gelu_formula):
+            x = Tensor(data.copy(), requires_grad=True)
+            out = op(x)
+            out._backward(g.copy())
+            results.append((out.data, x.grad))
+        (out, grad), (want_out, want_grad) = results
+        assert out.dtype == grad.dtype == dtype
+        assert np.array_equal(out, want_out) and np.array_equal(grad, want_grad)
 
     def test_tanh(self):
         rng = np.random.default_rng(17)

@@ -9,6 +9,8 @@ Duration 1..64 at 104..167, Mask 168. CP fields: bar Pad 0 / New 1 / Cont 2
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,24 @@ class TestChunk:
     def test_cp_ids_shape(self):
         score = two_bar_six_note_score()
         assert chunk([encode_cp(score)], "cp")[0].shape == (1, CHUNK_LEN, 4)
+
+    def test_short_pieces_cost_one_block(self):
+        # 400 four-bar CP pieces fill about 2% of their block; note steps are
+        # found on the real steps, so no temporary scales with the Pad fill
+        rng = np.random.default_rng(41)
+        streams = [
+            encode_cp(random_grid_score(rng, max_bars=4, max_notes_per_bar=8,
+                                        with_velocity=False))
+            for _ in range(400)
+        ]
+        tracemalloc.start()
+        try:
+            ids = chunk(streams, "cp")[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ids.nbytes == 400 * CHUNK_LEN * 4 * 8
+        assert peak < ids.nbytes + 512 * 1024
 
 
 def loop_remi(score: Score) -> list[int]:

@@ -15,6 +15,7 @@ from midibert import masking
 from midibert import model as M
 from midibert import train
 from midibert.autodiff import tensor
+from midibert.tokens import CHUNK_LEN
 
 from .support import mean, mul
 
@@ -43,13 +44,26 @@ def ostinato_ids(n):
     return np.array([motif_row()] * n, dtype=np.int64)
 
 
-def varied_ids(rng, n):
-    """Rows that share the motif grid but draw pitches from a small set."""
+def varied_ids(rng, n, lengths=None, width=64):
+    """Rows that share the motif grid but draw pitches from a small set; with
+    `lengths`, row i repeats its bar to `width` steps and keeps lengths[i]
+    real steps, then Pad."""
     base = np.array([motif_row()] * n, dtype=np.int64)
     pitch_cols = np.arange(2, 64, 3)
     for row in base:
         row[pitch_cols] = rng.choice([40, 56, 60, 70], size=len(pitch_cols))
+    if lengths is None:
+        return base
+    base = np.tile(base, (1, width // 64))
+    base[np.arange(width) >= np.asarray(lengths)[:, None]] = 0  # REMI Pad
     return base
+
+
+def as_cp(ids):
+    """Four-field rows derived from REMI-style rows; Pad stays all-Pad."""
+    cp = np.stack([ids % 2 + 1, ids % 16 + 1, ids % 86 + 1, ids % 64 + 1], -1)
+    cp[ids == 0] = 0
+    return cp
 
 
 class TestTrainConfig:
@@ -319,13 +333,14 @@ def register_label(pitch_id):
     return 0 if pitch_id >= 56 else 1  # midi 60 splits the registers
 
 
-def note_task_data(rng, n):
+def note_task_data(rng, n, lengths=None, width=64):
     """Melody-style corpus whose note label is decided by pitch register."""
-    ids = varied_ids(rng, n)
+    ids = varied_ids(rng, n, lengths, width)
     labels = np.full(ids.shape, corpus.IGNORE_LABEL, dtype=np.int64)
-    pitch_cols = np.arange(2, 64, 3)
+    pitch_cols = np.flatnonzero(np.arange(ids.shape[1]) % 64 % 3 == 2)
     for row, lab in zip(ids, labels):
-        lab[pitch_cols] = [register_label(p) for p in row[pitch_cols]]
+        cols = pitch_cols[row[pitch_cols] != 0]
+        lab[cols] = [register_label(p) for p in row[cols]]
     split = np.array([0] * (n - 4) + [1, 1, 2, 2], dtype=np.int8)
     return corpus.TaskData(
         task=corpus.TASKS["melody"],
@@ -336,9 +351,9 @@ def note_task_data(rng, n):
     )
 
 
-def seq_task_data(rng, n):
+def seq_task_data(rng, n, lengths=None, width=64):
     """Emotion-style corpus labeled by the register of the first note."""
-    ids = varied_ids(rng, n)
+    ids = varied_ids(rng, n, lengths, width)
     labels = np.array([register_label(row[2]) for row in ids], dtype=np.int64)
     split = np.array([0] * (n - 4) + [1, 1, 2, 2], dtype=np.int8)
     return corpus.TaskData(
@@ -484,19 +499,26 @@ class TestGraphFreeEvaluation:
     @pytest.mark.parametrize("level", ["note", "sequence"])
     def test_evaluate_classifier(self, level, monkeypatch):
         rng = np.random.default_rng(14)
-        data = (note_task_data if level == "note" else seq_task_data)(rng, 10)
+        lengths = [64, 20, 3, 41, 58, 7, 33, 12, 50, 9]
+        data = (note_task_data if level == "note" else seq_task_data)(rng, 10, lengths)
         head, classes = ("note", 3) if level == "note" else ("seq", 4)
         m = M.EncoderModel(tiny_config(head=head, num_classes=classes))
-        indices = np.arange(10)
+        indices = np.arange(1, 10)  # without the full row: the set is cut to 58
         labels = train.task_labels(data)
+        width = train._real_length(m, data.ids[indices])
+        assert width == 58
         want_loss, want_logits = train._class_loss(
-            m, data.ids[indices], labels[indices], level, training=False, seed=0
+            m, data.ids[indices, :width], labels[indices], level, training=False, seed=0
         )
         assert want_loss._backward is not None  # the live model records a graph
         outputs = self.recording_logits(monkeypatch)
         loss, preds, truth = train.evaluate_classifier(m, data, indices, batch_size=10)
         assert loss == float(want_loss.data)
-        assert np.array_equal(preds, np.argmax(want_logits.data, axis=-1))
+        want_preds = np.argmax(want_logits.data, axis=-1)
+        if level == "note":
+            assert (preds[:, width:] == corpus.IGNORE_LABEL).all()
+            preds = preds[:, :width]
+        assert np.array_equal(preds, want_preds)
         assert np.array_equal(truth, labels[indices])
         assert outputs and all(out._backward is None for out in outputs)
         assert all(t.grad is None and t.requires_grad for t in m.params.values())
@@ -505,12 +527,11 @@ class TestGraphFreeEvaluation:
     def test_evaluate_mlm(self, representation, monkeypatch):
         rng = np.random.default_rng(15)
         m = M.EncoderModel(tiny_config(representation=representation))
-        if representation == "remi":
-            ids = varied_ids(rng, 5)
-        else:
-            ids = np.stack([np.stack([row % 2 + 1, row % 16 + 1, row % 86 + 1, row % 64 + 1], -1)
-                            for row in varied_ids(rng, 5)])
+        ids = varied_ids(rng, 5, [30, 45, 12, 3, 40])
+        if representation == "cp":
+            ids = as_cp(ids)
         whole = masking.corrupt(ids, m.vocab, seed=4)
+        whole = train._sub_batch(whole, np.s_[:, :45])
         want_loss, want_logits = M.mlm_loss(m, whole, training=False)
         outputs = self.recording_logits(monkeypatch)
         loss, accuracy = train.evaluate_mlm(m, ids, batch_size=5, mask_seed=4)
@@ -518,3 +539,106 @@ class TestGraphFreeEvaluation:
         assert accuracy == M.cloze_accuracy(want_logits, whole)
         assert outputs and all(out._backward is None for out in outputs)
         assert all(t.grad is None and t.requires_grad for t in m.params.values())
+
+
+class TestRealPrefix:
+    """The encoder runs on each training batch's, and each scored set's,
+    longest real prefix: that changes rounding, not the model."""
+
+    LENGTHS = [37, 90, 5, 64, 1, 77, 12, 50, 90, 23, 8, 61]  # longest real prefix 90
+
+    @staticmethod
+    def model(**overrides):
+        return M.EncoderModel(tiny_config(max_len=CHUNK_LEN, **overrides))
+
+    @pytest.mark.parametrize("representation", ["remi", "cp"])
+    @pytest.mark.parametrize("head", ["mlm", "note", "seq"])
+    def test_cut_outputs_match_padded(self, head, representation):
+        m = self.model(representation=representation, head=head,
+                       num_classes=0 if head == "mlm" else 3)
+        ids = varied_ids(np.random.default_rng(21), 4, [37, 90, 5, 64], CHUNK_LEN)
+        ids[0, 3] = 0  # a Pad step inside a row stays, masked as before
+        if representation == "cp":
+            ids = as_cp(ids)
+        width = train._real_length(m, ids)
+        assert width == 90
+        padded, cut = m.logits(ids), m.logits(ids[:, :width])
+        real = m.step_mask(ids[:, :width])
+        pairs = zip(padded, cut) if isinstance(padded, list) else [(padded, cut)]  # CP mlm: 4 fields
+        for full, short in pairs:
+            if head == "seq":
+                gap = np.abs(full.data - short.data).max()
+            else:
+                assert short.data.shape[1] == width
+                gap = np.abs(full.data[:, :width][real] - short.data[real]).max()
+            assert gap <= 1e-5
+
+    def test_all_pad_rows_keep_one_step(self):
+        m = self.model()
+        assert train._real_length(m, np.zeros((2, CHUNK_LEN), dtype=np.int64)) == 1
+        assert train._real_length(self.model(representation="cp"),
+                                  np.zeros((2, CHUNK_LEN, 4), dtype=np.int64)) == 1
+
+    @pytest.mark.parametrize("level", ["note", "sequence"])
+    def test_predictions_do_not_depend_on_batch_size(self, level):
+        # `eval` scores at batch 12 and a fine-tune's test split at its own
+        # batch size; both must give the same predictions
+        data = (note_task_data if level == "note" else seq_task_data)(
+            np.random.default_rng(22), 12, self.LENGTHS, CHUNK_LEN
+        )
+        head = "note" if level == "note" else "seq"
+        m = self.model(head=head, num_classes=3)
+        indices = np.arange(12)
+        loss4, preds4, truth4 = train.evaluate_classifier(m, data, indices, batch_size=4)
+        loss12, preds12, truth12 = train.evaluate_classifier(m, data, indices, batch_size=12)
+        assert np.array_equal(preds4, preds12) and np.array_equal(truth4, truth12)
+        # the per-batch means are summed in another grouping
+        assert loss4 == pytest.approx(loss12, rel=1e-6)
+
+    @pytest.mark.parametrize("level", ["note", "sequence"])
+    def test_predictions_match_the_padded_forward(self, level):
+        data = (note_task_data if level == "note" else seq_task_data)(
+            np.random.default_rng(23), 12, self.LENGTHS, CHUNK_LEN
+        )
+        head = "note" if level == "note" else "seq"
+        m = self.model(head=head, num_classes=3, init_seed=5)
+        for name, t in m.params.items():
+            if name.startswith("head."):
+                t.data = t.data * 30  # margins well clear of rounding
+        indices = np.arange(12)
+        labels = train.task_labels(data)
+        _, preds, truth = train.evaluate_classifier(m, data, indices, batch_size=4)
+        padded = np.concatenate([
+            m.logits(data.ids[rows]).data for rows in np.split(indices, 3)
+        ])
+        keep = truth != corpus.IGNORE_LABEL
+        top2 = np.sort(padded, axis=-1)[..., -2:]
+        assert (top2[..., 1] - top2[..., 0])[keep].min() > 1e-4
+        want = np.argmax(padded, axis=-1)
+        assert np.array_equal(preds[keep], want[keep])
+        assert evaluate.accuracy(preds, truth) == evaluate.accuracy(want, labels[indices])
+
+    def test_short_batches_reach_attention_at_their_width(self, tmp_path, monkeypatch):
+        widths = []
+        attention = ad.attention
+
+        def recording(q, *args):
+            widths.append(q.data.shape[2])
+            return attention(q, *args)
+
+        monkeypatch.setattr(ad, "attention", recording)
+        rng = np.random.default_rng(24)
+        lengths = [37, 90, 5, 64, 77, 12, 50, 23]
+        data = note_task_data(rng, 8, lengths, CHUNK_LEN)
+        cfg = train.TrainConfig(batch_size=1, max_epochs=1, patience=1, seed=2)
+        train.finetune(self.model(head="note", num_classes=3), data, cfg, tmp_path / "ft.ckpt")
+        # one row per training batch, then the valid (77, 12) and test
+        # (50, 23) splits, each cut once to its longest row and scored a row
+        # at a time
+        assert sorted(widths) == sorted(lengths[:4] + [77, 77, 50, 50])
+
+        widths.clear()
+        ids = varied_ids(rng, 4, [30, 64, 9, 41], CHUNK_LEN)
+        cfg = train.TrainConfig(batch_size=2, max_epochs=1, patience=1, seed=3)
+        train.pretrain(self.model(), ids[:2], ids[2:], cfg, tmp_path / "pre.ckpt")
+        assert sorted(widths) == [41, 64]
