@@ -9,7 +9,6 @@ reproduced bit for bit. Exit codes: 0 success, 1 usage, 2 bad data,
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import hashlib
 import sys
@@ -294,24 +293,36 @@ def _parse_midi_dir(midi_dir: Path, strict: bool) -> list[smf.Score]:
     return scores
 
 
+def _label_flag(task_spec, options) -> str | None:
+    """The label-file flag the task reads: --note-labels for melody,
+    --seq-labels for composer and emotion, none for velocity and pretrain.
+    A missing own flag or any other label flag is a usage error."""
+    sources = {"melody": "note_labels", "composer": "seq_labels", "emotion": "seq_labels"}
+    own = sources.get(task_spec.name)
+    for flag in ("note_labels", "seq_labels"):
+        if flag != own and options.get(flag):
+            raise UsageError(f"--task {task_spec.name} does not read --{flag.replace('_', '-')}")
+    if own and not options.get(own):
+        raise UsageError(f"--task {task_spec.name} needs --{own.replace('_', '-')}")
+    return own
+
+
 def _label_pieces(scores, task_spec, options, strict: bool):
-    """Label each score from its task's one source: velocity from the notes'
-    dynamics, melody from --note-labels, composer and emotion from --seq-labels.
+    """Label each score from its task's one source (see _label_flag).
     A piece with no notes or no label is reported and dropped unless strict."""
+    flag = _label_flag(task_spec, options)
     if task_spec.name == "velocity":
         def labels_of(score):
             return {"note_labels": corpus.derive_velocity_labels(score)}
-    elif task_spec.level == "none":
+    elif flag is None:
         def labels_of(score):
             return {}
     else:
-        flag, read, field, what = (
-            ("note_labels", corpus.read_note_labels, "note_labels", "note labels")
-            if task_spec.level == "note"
-            else ("seq_labels", corpus.read_seq_labels, "sequence_label", "sequence label")
+        read, field, what = (
+            (corpus.read_note_labels, "note_labels", "note labels")
+            if flag == "note_labels"
+            else (corpus.read_seq_labels, "sequence_label", "sequence label")
         )
-        if not options.get(flag):
-            raise UsageError(f"--task {task_spec.name} needs --{flag.replace('_', '-')}")
         table = read(options[flag], task_spec)
 
         def labels_of(score):
@@ -336,10 +347,7 @@ def _label_pieces(scores, task_spec, options, strict: bool):
 
 def cmd_prepare(options: dict) -> int:
     task_spec = corpus.task(options["task"])
-    if options["task"] in ("velocity", "pretrain") and (
-        options.get("note_labels") or options.get("seq_labels")
-    ):
-        raise UsageError(f"--task {options['task']} does not take label files")
+    _label_flag(task_spec, options)  # before any file is parsed
     scores = _parse_midi_dir(Path(options["midi"]), options["strict"])
     pieces = _label_pieces(scores, task_spec, options, options["strict"])
     if not pieces:
@@ -543,38 +551,25 @@ def cmd_skyline(options: dict) -> int:
     write_run_config(out_dir, options, inputs)
 
     predictions = {score.source_id: evaluate.skyline(score) for score in scores}
-    with open(out_dir / "predictions.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(corpus.NOTE_LABEL_HEADER)
-        for piece_id in sorted(predictions):
-            for i, value in enumerate(predictions[piece_id]):
-                writer.writerow([piece_id, i, evaluate.BINARY_CLASS_NAMES[value]])
+    corpus.write_note_labels(out_dir / "predictions.csv", predictions, evaluate.SKYLINE)
 
     if options.get("note_labels"):
-        melody_spec = corpus.task("melody")
-        truth_map = corpus.read_note_labels(options["note_labels"], melody_spec)
-        all_preds, all_truth = [], []
-        for score in scores:
-            if score.source_id not in truth_map:
-                raise ValueError(f"piece {score.source_id!r}: no note labels")
-            truth = evaluate.merge_melody_binary(
-                np.array(truth_map[score.source_id]), melody_spec
-            )
-            pred = predictions[score.source_id]
-            if len(truth) != len(pred):
-                raise ValueError(
-                    f"piece {score.source_id!r}: {len(pred)} notes but {len(truth)} labels"
-                )
-            all_preds.append(pred)
-            all_truth.append(truth)
+        melody_task = corpus.task("melody")
+        melody = melody_task.class_names.index("melody")
+        pieces = _label_pieces(scores, melody_task, options, strict=True)  # the scores, in order
+        preds = [predictions[piece.piece_id] for piece in pieces]
+        truths = [
+            np.where(np.array(piece.note_labels) == melody, evaluate.MELODY, evaluate.NON_MELODY)
+            for piece in pieces
+        ]
         table = evaluate.confusion(
-            np.concatenate(all_preds), np.concatenate(all_truth), evaluate.BINARY_CLASS_NAMES
+            np.concatenate(preds), np.concatenate(truths), evaluate.SKYLINE.class_names
         )
-        extra = {"pieces": len(scores)}
-        for score, p, t in zip(scores, all_preds, all_truth):
-            extra[f"accuracy_{score.source_id}"] = evaluate.accuracy(p, t)
+        extra = {"pieces": len(pieces)}
+        for piece, pred, truth in zip(pieces, preds, truths):
+            extra[f"accuracy_{piece.piece_id}"] = evaluate.accuracy(pred, truth)
         evaluate.write_report(out_dir, "skyline", table, extra=extra)
-        _progress(f"skyline accuracy {table.accuracy():.4f} over {len(scores)} pieces")
+        _progress(f"skyline accuracy {table.accuracy():.4f} over {len(pieces)} pieces")
     else:
         _progress(f"skyline labels written for {len(scores)} pieces")
     return EXIT_OK

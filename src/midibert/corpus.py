@@ -566,7 +566,10 @@ def read_note_labels(path: str | Path, task_spec: TaskSpec) -> dict[str, tuple[i
         index = int(note_index)
         if index in by_index:
             raise ValueError(f"{path}: piece {piece_id!r} repeats note_index {index}")
-        by_index[index] = task_spec.label_from(label)
+        try:
+            by_index[index] = task_spec.label_from(label)
+        except ValueError as exc:
+            raise ValueError(f"{path}: piece {piece_id!r}: {exc}") from None
     out = {}
     for piece_id, by_index in rows.items():
         if sorted(by_index) != list(range(len(by_index))):

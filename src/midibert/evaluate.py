@@ -18,7 +18,7 @@ import numpy as np
 from .corpus import IGNORE_LABEL, TaskSpec
 from .smf import Score, onset_sub_beats
 
-BINARY_CLASS_NAMES = ("melody", "non-melody")
+SKYLINE = TaskSpec("skyline", "note", ("melody", "non-melody"))  # the rule's binary labels
 MELODY = 0
 NON_MELODY = 1
 
@@ -141,21 +141,6 @@ def skyline(score: Score) -> np.ndarray:
                 last_end = ends[i]
         start = stop
     return labels
-
-
-def merge_melody_binary(labels, task_spec: TaskSpec) -> np.ndarray:
-    """Collapse the three-way note classes to melody vs everything else;
-    ignore markers pass through."""
-    if task_spec.name != "melody":
-        raise ValueError(f"not the melody task: {task_spec.name!r}")
-    labels = np.asarray(labels)
-    melody = task_spec.class_names.index("melody")
-    known = (labels == IGNORE_LABEL) | ((0 <= labels) & (labels < task_spec.num_classes))
-    if not known.all():
-        bad = labels[~known].reshape(-1)[0]
-        raise ValueError(f"unknown label {int(bad)}")
-    out = np.where(labels == melody, MELODY, NON_MELODY)
-    return np.where(labels == IGNORE_LABEL, IGNORE_LABEL, out)
 
 
 def write_report(

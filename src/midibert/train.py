@@ -26,6 +26,7 @@ from .autodiff import Tensor
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
+GRAD_CLIP = 1.0  # global gradient-norm bound
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,6 @@ class AdamW:
         params: dict[str, Tensor],
         lr: float,
         weight_decay: float,
-        grad_clip: float = 1.0,
     ):
         if not params:
             raise ValueError("optimizer needs at least one parameter")
@@ -125,7 +125,6 @@ class AdamW:
         self._t = 0
         self.lr = lr
         self.weight_decay = weight_decay
-        self.grad_clip = grad_clip
 
     def zero_grad(self) -> None:
         for t in self._tensors:
@@ -140,8 +139,8 @@ class AdamW:
                 raise FloatingPointError(f"non-finite gradient in {name}")
             grads.append(t.grad)
         total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
-        if total > self.grad_clip:
-            scale = self.grad_clip / total
+        if total > GRAD_CLIP:
+            scale = GRAD_CLIP / total
             grads = [g * scale for g in grads]
         self._t += 1
         c1 = 1.0 - BETA1**self._t

@@ -1,13 +1,15 @@
 """Shared fixture generators and reference oracles for the test suite, and
-the autodiff ops and score helper that only the tests use."""
+the autodiff ops, gradient check and score helper that only the tests use."""
 
 from __future__ import annotations
+
+from typing import Callable, Sequence
 
 import numpy as np
 
 from midibert import autodiff as ad
 from midibert import evaluate
-from midibert.autodiff import Tensor, _accumulate, _result, _unbroadcast
+from midibert.autodiff import Tensor, _accumulate, _result, _unbroadcast, backward
 from midibert.corpus import IGNORE_LABEL
 from midibert.smf import (
     NO_VELOCITY,
@@ -64,6 +66,69 @@ def gelu_formula(a: Tensor) -> Tensor:
         _accumulate(a, g * local, owned=True)
 
     return _result(0.5 * x * (1.0 + t), (a,), rule)
+
+
+# --- verification ----------------------------------------------------------------
+
+def gradcheck(
+    f: Callable[[], Tensor],
+    params: Sequence[Tensor],
+    *,
+    eps: float = 1e-5,
+    sample: int = 200,
+    seed: int = 0,
+    min_grad: float = 0.0,
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    f must rebuild its graph on every call from the given parameter tensors.
+    Samples at least `sample` coordinates across all parameters; the
+    relative error denominator is max(|analytic|, |numeric|, 1e-8).
+
+    min_grad restricts sampling to coordinates whose analytic gradient
+    magnitude is at least that large. Large graphs have coordinates whose
+    gradients nearly cancel (softmax rows are mean-zero); below roughly
+    |loss|·1e-12/eps those are buried in difference-rounding noise and read
+    as false disagreements, while a wrong backward rule still shows up as an
+    O(1) error on the well-scaled coordinates that remain.
+    """
+    for p in params:
+        if not p.requires_grad:
+            raise ValueError("gradcheck parameters must require gradients")
+        p.grad = None
+    loss = f()
+    backward(loss)
+    analytic = [np.array(p.grad, copy=True) for p in params]
+
+    rng = np.random.default_rng([seed])
+    sizes = np.array([p.data.size for p in params])
+    magnitudes = np.concatenate([np.abs(a).ravel() for a in analytic])
+    eligible = np.flatnonzero(magnitudes >= min_grad)
+    if eligible.size == 0:
+        raise ValueError(f"no coordinate has gradient magnitude >= {min_grad}")
+    draws = max(sample, 1)
+    chosen = (
+        eligible if draws >= eligible.size else rng.choice(eligible, size=draws, replace=False)
+    )
+    bounds = np.cumsum(sizes)
+
+    worst = 0.0
+    for flat_index in chosen:
+        which = int(np.searchsorted(bounds, flat_index, side="right"))
+        local = int(flat_index - (bounds[which] - sizes[which]))
+        p = params[which]
+        view = p.data.reshape(-1)
+        original = view[local]
+        view[local] = original + eps
+        up = float(f().data)
+        view[local] = original - eps
+        down = float(f().data)
+        view[local] = original
+        numeric = (up - down) / (2 * eps)
+        exact = float(analytic[which].reshape(-1)[local])
+        err = abs(numeric - exact) / max(abs(numeric), abs(exact), 1e-8)
+        worst = max(worst, err)
+    return worst
 
 
 def strip_velocity(score: Score) -> Score:

@@ -19,14 +19,13 @@ import time
 import numpy as np
 import pytest
 
-from midibert import autodiff as ad
 from midibert import cli, corpus, evaluate, masking
 from midibert import model as M
 from midibert import tokens, train
 from midibert.smf import parse_smf, quantize, write_smf
 from midibert.tokens import decode_cp, decode_remi, encode_cp, encode_remi
 
-from .support import random_grid_score, skyline_oracle, strip_velocity, widen
+from .support import gradcheck, random_grid_score, skyline_oracle, strip_velocity, widen
 
 
 def check(n: int, ok: bool, detail: str) -> None:
@@ -125,21 +124,21 @@ def test_04_desk_model_gradcheck():
     m = widen(M.EncoderModel(M.desk_config("remi")))
     batch = masking.corrupt(ids, tokens.vocab("remi"), seed=4)
     tensors = [m.params[k] for k in sorted(m.params)]
-    worst["mlm"] = ad.gradcheck(
+    worst["mlm"] = gradcheck(
         lambda: M.mlm_loss(m, batch, training=False)[0],
         tensors, eps=1e-4, sample=200, min_grad=1e-5)
 
     m = widen(M.EncoderModel(M.desk_config("remi", head="note", num_classes=3)))
     labels = np.where(ids >= 18, rng.integers(0, 3, ids.shape), corpus.IGNORE_LABEL)
     tensors = [m.params[k] for k in sorted(m.params)]
-    worst["note"] = ad.gradcheck(
+    worst["note"] = gradcheck(
         lambda: train._class_loss(m, ids, labels, "note", training=False, seed=0)[0],
         tensors, eps=1e-4, sample=200, min_grad=1e-5)
 
     m = widen(M.EncoderModel(M.desk_config("remi", head="seq", num_classes=4)))
     seq_labels = np.array([1, 3])
     tensors = [m.params[k] for k in sorted(m.params)]
-    worst["seq"] = ad.gradcheck(
+    worst["seq"] = gradcheck(
         lambda: train._class_loss(m, ids, seq_labels, "sequence", training=False, seed=0)[0],
         tensors, eps=1e-4, sample=200, min_grad=1e-5)
     ok = all(err <= 1e-5 for err in worst.values())
@@ -241,12 +240,12 @@ def test_07_skyline_matches_oracle():
         if not np.array_equal(evaluate.skyline(score), skyline_oracle(score)):
             mismatches += 1
 
-    melody_task = corpus.task("melody")
+    melody = corpus.task("melody").class_names.index("melody")
     correct = total = 0
     for piece in corpus.synth_corpus(
             corpus.SynthSpec(task="melody", pieces=30, bars_per_piece=16), seed=1):
         preds = evaluate.skyline(piece.score)
-        truth = evaluate.merge_melody_binary(np.asarray(piece.note_labels), melody_task)
+        truth = np.where(np.asarray(piece.note_labels) == melody, evaluate.MELODY, evaluate.NON_MELODY)
         correct += int((preds == truth).sum())
         total += len(truth)
     corpus_acc = correct / total

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from midibert import autodiff as ad
-from midibert.autodiff import Tensor, backward, gradcheck
+from midibert.autodiff import Tensor, backward
 
-from .support import gelu_formula, mean, mul, tanh, unfused_attention
+from .support import gelu_formula, gradcheck, mean, mul, tanh, unfused_attention
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:

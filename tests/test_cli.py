@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from midibert import cli, corpus, smf, train
+from midibert import cli, corpus, evaluate, smf, train
 from midibert import model as M
 
 
@@ -184,6 +184,21 @@ class TestPrepare:
         assert (store / "note_labels.csv").exists()
         assert run("prepare", "--midi", midi, "--task", "velocity",
                    "--out", tmp_path / "x", "--note-labels", store / "note_labels.csv") == 1
+
+    @pytest.mark.parametrize("task_name, own, other", [
+        ("melody", "--note-labels", "--seq-labels"),
+        ("emotion", "--seq-labels", "--note-labels"),
+    ])
+    def test_label_flag_the_task_does_not_read_is_usage_error(
+            self, tmp_path, capsys, task_name, own, other):
+        midi = tmp_path / "midi"
+        assert run("synth", "--task", task_name, "--out", midi, "--pieces", 3, "--bars", 2) == 0
+        labels = next(midi.glob("*_labels.csv"))
+        out = tmp_path / "never"
+        assert run("prepare", "--midi", midi, "--task", task_name, "--out", out,
+                   own, labels, other, labels) == 1
+        assert f"--task {task_name} does not read {other}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_melody_without_labels_flag_is_usage_error(self, tmp_path, capsys):
         midi = make_melody_corpus(tmp_path)
@@ -573,6 +588,60 @@ class TestSkyline:
             rows = list(csv.reader(handle))
         assert rows[0] == ["piece_id", "note_index", "label"]
         assert len(rows) > 1 and all(len(row) == 3 and row[0] == "a,b" for row in rows[1:])
+
+    def test_predictions_are_a_note_label_file(self, corpora, tmp_path):
+        out = tmp_path / "sky5"
+        assert run("skyline", "--midi", corpora["melody_midi"], "--out", out) == 0
+        path = out / "predictions.csv"
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[-1] == b"" and all(b"\n" not in line for line in lines)
+        want = {}
+        for mid in sorted(corpora["melody_midi"].glob("*.mid")):
+            score = smf.score_from_bytes(mid.read_bytes(), source_id=mid.stem)
+            want[mid.stem] = tuple(evaluate.skyline(score).tolist())
+        assert corpus.read_note_labels(path, evaluate.SKYLINE) == want
+
+    def test_bridge_notes_score_as_non_melody(self, tmp_path):
+        midi = tmp_path / "midi"
+        midi.mkdir()
+        chord = smf.make_score("chord", [(0, 1, 72, 8, smf.NO_VELOCITY),
+                                         (0, 1, 64, 8, smf.NO_VELOCITY),
+                                         (0, 1, 48, 8, smf.NO_VELOCITY)])
+        solo = smf.make_score("solo", [(0, 1, 60, 8, smf.NO_VELOCITY),
+                                       (0, 5, 62, 8, smf.NO_VELOCITY)])
+        for score in (chord, solo):
+            (midi / f"{score.source_id}.mid").write_bytes(smf.write_smf(score))
+        labels = tmp_path / "labels.csv"
+        labels.write_text("piece_id,note_index,label\n"
+                          "chord,0,accompaniment\nchord,1,bridge\nchord,2,melody\n"
+                          "solo,0,melody\nsolo,1,melody\n")
+        out = tmp_path / "sky"
+        assert run("skyline", "--midi", midi, "--note-labels", labels, "--out", out) == 0
+        # chord: predicted melody is the top note (index 2), the one labeled melody
+        assert (out / "confusion_counts.csv").read_text() == (
+            "actual\\predicted,melody,non-melody\nmelody,3,0\nnon-melody,0,2\n"
+        )
+        metrics = (out / "metrics.txt").read_text().splitlines()
+        assert "accuracy_chord = 1.0" in metrics and "accuracy_solo = 1.0" in metrics
+
+    @pytest.mark.parametrize("case", ["missing", "count", "unknown"])
+    def test_bad_labels_are_data_errors(self, corpora, tmp_path, capsys, case):
+        midi = corpora["melody_midi"]
+        rows = (midi / "note_labels.csv").read_text().splitlines()
+        piece = [r for r in rows if r.startswith("melody_0001,")]
+        if case == "missing":
+            rows = [r for r in rows if r not in piece]
+        elif case == "count":
+            rows.remove(piece[-1])
+        else:
+            rows[rows.index(piece[0])] = piece[0].rsplit(",", 1)[0] + ",chorus"
+        labels = tmp_path / "labels.csv"
+        labels.write_text("\n".join(rows) + "\n")
+        assert run("skyline", "--midi", midi, "--note-labels", labels,
+                   "--out", tmp_path / "sky") == 2
+        err = capsys.readouterr().err
+        assert "melody_0001" in err and "Traceback" not in err
+        assert not (tmp_path / "sky" / "metrics.txt").exists()
 
     def test_config_file_digest_recorded(self, corpora, tmp_path):
         cfg = tmp_path / "skyline.cfg"

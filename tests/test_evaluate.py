@@ -205,45 +205,9 @@ class TestSkyline:
     def test_perfect_on_layered_synthetic_corpus(self):
         pieces = synth_corpus(SynthSpec(task="melody", pieces=6, bars_per_piece=8), seed=3)
         for piece in pieces:
-            truth = evaluate.merge_melody_binary(
-                np.array(piece.note_labels), TASKS["melody"]
-            )
+            melody = np.array(piece.note_labels) == TASKS["melody"].class_names.index("melody")
+            truth = np.where(melody, evaluate.MELODY, evaluate.NON_MELODY)
             assert evaluate.accuracy(evaluate.skyline(piece.score), truth) == 1.0
-
-
-class TestMergeMelodyBinary:
-    def test_three_way_collapse(self):
-        task_spec = TASKS["melody"]
-        out = evaluate.merge_melody_binary(np.array([0, 1, 2]), task_spec)
-        assert out.tolist() == [evaluate.MELODY, evaluate.NON_MELODY, evaluate.NON_MELODY]
-
-    def test_all_melody_unchanged(self):
-        out = evaluate.merge_melody_binary(np.zeros(5, dtype=np.int64), TASKS["melody"])
-        assert out.tolist() == [evaluate.MELODY] * 5
-
-    def test_ignore_passes_through(self):
-        out = evaluate.merge_melody_binary(np.array([IGNORE_LABEL, 1]), TASKS["melody"])
-        assert out.tolist() == [IGNORE_LABEL, evaluate.NON_MELODY]
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError, match="unknown label 3"):
-            evaluate.merge_melody_binary(np.array([0, 3]), TASKS["melody"])
-        with pytest.raises(ValueError, match="melody"):
-            evaluate.merge_melody_binary(np.array([0]), TASKS["velocity"])
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 50))
-    def test_merge_never_decreases_accuracy(self, seed, n):
-        rng = np.random.default_rng(seed)
-        preds = rng.integers(0, 3, size=n)
-        labels = rng.integers(0, 3, size=n)
-        task_spec = TASKS["melody"]
-        acc3 = evaluate.accuracy(preds, labels)
-        acc2 = evaluate.accuracy(
-            evaluate.merge_melody_binary(preds, task_spec),
-            evaluate.merge_melody_binary(labels, task_spec),
-        )
-        assert acc2 >= acc3
 
 
 class TestReport:

@@ -46,7 +46,6 @@ KEPT = {
     "corpus.Store.chunks_of": "perfbench wraps it",
     "tokens.decode_remi": "carries the REMI round-trip invariant",
     "tokens.decode_cp": "carries the CP round-trip invariant",
-    "autodiff.gradcheck": "test_acceptance imports it; moves to tests/support.py with ROADMAP item 1",
     "cli._Parser.error": "an argparse hook: argparse calls it",
     "train.EpochRow.seconds": "each epoch's wall time, for ROADMAP item 3's throughput report",
 }

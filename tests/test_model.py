@@ -14,7 +14,7 @@ from midibert import model as M
 from midibert import tokens
 from midibert.train import AdamW
 
-from .support import mean, unfused_attention, widen
+from .support import gradcheck, mean, unfused_attention, widen
 
 
 def content_remi_ids(rng, batch, length, fill):
@@ -286,7 +286,7 @@ class TestMlmObjective:
         f = lambda: M.mlm_loss(m, batch, training=False)[0]
         # sampling restricted to finite-difference-resolvable coordinates;
         # see gradcheck's docstring for the noise-floor argument
-        err = ad.gradcheck(f, tensors, eps=1e-4, sample=120, min_grad=1e-5)
+        err = gradcheck(f, tensors, eps=1e-4, sample=120, min_grad=1e-5)
         assert err <= 1e-5
 
     def test_loss_requires_mlm_head(self):

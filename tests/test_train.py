@@ -73,7 +73,7 @@ class TestTrainConfig:
         assert (cfg.max_epochs, cfg.patience) == (500, 30)
         ft = train.finetune_config()
         assert (ft.max_epochs, ft.patience) == (10, 3)
-        assert train.AdamW({"w": tensor(np.ones(1))}, ft.lr, ft.weight_decay).grad_clip == 1.0
+        assert train.GRAD_CLIP == 1.0
 
     def test_overrides(self):
         cfg = train.finetune_config(lr=1e-3, patience=2, freeze="backbone")
@@ -103,23 +103,25 @@ class TestTrainConfig:
 
 
 class TestAdamW:
-    def test_zero_gradient_is_pure_decay(self):
+    def test_zero_gradient_is_pure_decay(self, monkeypatch):
         # update term is exactly 0/(0+eps); only decoupled decay moves weights
+        monkeypatch.setattr(train, "GRAD_CLIP", math.inf)
         rng = np.random.default_rng(0)
         p = tensor(rng.normal(size=(4, 3)), requires_grad=True)
         start = p.data.copy()
-        opt = train.AdamW({"w": p}, lr=0.1, weight_decay=0.01, grad_clip=math.inf)
+        opt = train.AdamW({"w": p}, lr=0.1, weight_decay=0.01)
         p.grad = np.zeros_like(start)
         opt.step()
         expected = start - 0.1 * (np.zeros_like(start) + 0.01 * start)
         assert np.array_equal(p.data, expected)
 
-    def test_constant_gradient_steps_by_signed_lr(self):
+    def test_constant_gradient_steps_by_signed_lr(self, monkeypatch):
         # bias correction makes mhat=c and vhat=c^2 from the first step,
         # so the update is c/(|c|+eps), i.e. sign(c) up to eps
+        monkeypatch.setattr(train, "GRAD_CLIP", math.inf)
         data = np.zeros(3)
         p = tensor(data.copy(), requires_grad=True)
-        opt = train.AdamW({"w": p}, lr=0.01, weight_decay=0.0, grad_clip=math.inf)
+        opt = train.AdamW({"w": p}, lr=0.01, weight_decay=0.0)
         grad = np.array([3.0, -0.5, 10.0])
         for step in range(1, 4):
             p.grad = grad.copy()
@@ -128,10 +130,11 @@ class TestAdamW:
             # c/(|c|+eps) shortfall; a wrong update rule misses by ~1e-2
             assert np.allclose(p.data, -step * 0.01 * np.sign(grad), rtol=0, atol=1e-7)
 
-    def test_quadratic_bowl_converges(self):
+    def test_quadratic_bowl_converges(self, monkeypatch):
+        monkeypatch.setattr(train, "GRAD_CLIP", math.inf)
         rng = np.random.default_rng(1)
         p = tensor(rng.normal(size=10), requires_grad=True)
-        opt = train.AdamW({"w": p}, lr=0.05, weight_decay=0.0, grad_clip=math.inf)
+        opt = train.AdamW({"w": p}, lr=0.05, weight_decay=0.0)
         first = float((p.data**2).mean())
         for _ in range(100):
             loss = mean(mul(p, p))
@@ -142,7 +145,7 @@ class TestAdamW:
         assert final < first / 20
         assert final < 0.02  # settles near the minimum at the lr scale
 
-    def test_clip_matches_prescaled_gradients(self):
+    def test_clip_matches_prescaled_gradients(self, monkeypatch):
         rng = np.random.default_rng(2)
         g1 = rng.normal(size=(5,)) * 3
         g2 = rng.normal(size=(2, 3)) * 3
@@ -152,27 +155,29 @@ class TestAdamW:
 
         a1 = tensor(np.ones(5), requires_grad=True)
         a2 = tensor(np.ones((2, 3)), requires_grad=True)
-        clipped = train.AdamW({"a": a1, "b": a2}, lr=0.01, weight_decay=0.01, grad_clip=1.0)
+        clipped = train.AdamW({"a": a1, "b": a2}, lr=0.01, weight_decay=0.01)
         a1.grad, a2.grad = g1.copy(), g2.copy()
         clipped.step()
 
         b1 = tensor(np.ones(5), requires_grad=True)
         b2 = tensor(np.ones((2, 3)), requires_grad=True)
-        plain = train.AdamW({"a": b1, "b": b2}, lr=0.01, weight_decay=0.01, grad_clip=math.inf)
+        monkeypatch.setattr(train, "GRAD_CLIP", math.inf)
+        plain = train.AdamW({"a": b1, "b": b2}, lr=0.01, weight_decay=0.01)
         b1.grad, b2.grad = g1 * scale, g2 * scale
         plain.step()
 
         assert np.array_equal(a1.data, b1.data)
         assert np.array_equal(a2.data, b2.data)
 
-    def test_small_gradients_not_scaled(self):
+    def test_small_gradients_not_scaled(self, monkeypatch):
         g = np.full(4, 0.1)
         a = tensor(np.ones(4), requires_grad=True)
-        with_clip = train.AdamW({"w": a}, lr=0.01, weight_decay=0.0, grad_clip=1.0)
+        with_clip = train.AdamW({"w": a}, lr=0.01, weight_decay=0.0)
         a.grad = g.copy()
         with_clip.step()
         b = tensor(np.ones(4), requires_grad=True)
-        without = train.AdamW({"w": b}, lr=0.01, weight_decay=0.0, grad_clip=math.inf)
+        monkeypatch.setattr(train, "GRAD_CLIP", math.inf)
+        without = train.AdamW({"w": b}, lr=0.01, weight_decay=0.0)
         b.grad = g.copy()
         without.step()
         assert np.array_equal(a.data, b.data)
