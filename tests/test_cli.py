@@ -601,28 +601,33 @@ class TestSkyline:
             want[mid.stem] = tuple(evaluate.skyline(score).tolist())
         assert corpus.read_note_labels(path, evaluate.SKYLINE) == want
 
-    def test_bridge_notes_score_as_non_melody(self, tmp_path):
+    def _skyline_on(self, tmp_path, score, labels):
         midi = tmp_path / "midi"
         midi.mkdir()
+        (midi / f"{score.source_id}.mid").write_bytes(smf.write_smf(score))
+        label_file = tmp_path / "labels.csv"
+        label_file.write_text("piece_id,note_index,label\n" + "".join(
+            f"{score.source_id},{i},{label}\n" for i, label in enumerate(labels)))
+        out = tmp_path / "sky"
+        assert run("skyline", "--midi", midi, "--note-labels", label_file, "--out", out) == 0
+        metrics = (out / "metrics.txt").read_text().splitlines()
+        return (out / "confusion_counts.csv").read_text(), metrics
+
+    def test_bridge_notes_score_as_non_melody(self, tmp_path):
         chord = smf.make_score("chord", [(0, 1, 72, 8, smf.NO_VELOCITY),
                                          (0, 1, 64, 8, smf.NO_VELOCITY),
                                          (0, 1, 48, 8, smf.NO_VELOCITY)])
+        counts, metrics = self._skyline_on(tmp_path, chord, ["accompaniment", "bridge", "melody"])
+        # predicted melody is the top note (index 2), the one labeled melody
+        assert counts == "actual\\predicted,melody,non-melody\nmelody,1,0\nnon-melody,0,2\n"
+        assert "accuracy_chord = 1.0" in metrics
+
+    def test_all_melody_piece_scores_as_melody(self, tmp_path):
         solo = smf.make_score("solo", [(0, 1, 60, 8, smf.NO_VELOCITY),
                                        (0, 5, 62, 8, smf.NO_VELOCITY)])
-        for score in (chord, solo):
-            (midi / f"{score.source_id}.mid").write_bytes(smf.write_smf(score))
-        labels = tmp_path / "labels.csv"
-        labels.write_text("piece_id,note_index,label\n"
-                          "chord,0,accompaniment\nchord,1,bridge\nchord,2,melody\n"
-                          "solo,0,melody\nsolo,1,melody\n")
-        out = tmp_path / "sky"
-        assert run("skyline", "--midi", midi, "--note-labels", labels, "--out", out) == 0
-        # chord: predicted melody is the top note (index 2), the one labeled melody
-        assert (out / "confusion_counts.csv").read_text() == (
-            "actual\\predicted,melody,non-melody\nmelody,3,0\nnon-melody,0,2\n"
-        )
-        metrics = (out / "metrics.txt").read_text().splitlines()
-        assert "accuracy_chord = 1.0" in metrics and "accuracy_solo = 1.0" in metrics
+        counts, metrics = self._skyline_on(tmp_path, solo, ["melody", "melody"])
+        assert counts == "actual\\predicted,melody,non-melody\nmelody,2,0\nnon-melody,0,0\n"
+        assert "accuracy_solo = 1.0" in metrics
 
     @pytest.mark.parametrize("case", ["missing", "count", "unknown"])
     def test_bad_labels_are_data_errors(self, corpora, tmp_path, capsys, case):
